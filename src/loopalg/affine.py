@@ -6,8 +6,7 @@ Chevalley line carries an integer grading weight: ``w(root) = sum n_i s_i``
 for a root with simple coefficients ``n_i`` and ``w = 0`` on the Cartan.
 The line of a root enters the level-``n`` lattice at the t-exponent
 ``ceil((n - w)/m)`` and its annihilator (written against dt/t) at
-``ceil((1 - n - w)/m)``; both rules are cross-checked against brute-force
-residue pairings.
+``ceil((1 - n - w)/m)``.
 """
 
 from __future__ import annotations
@@ -124,9 +123,6 @@ class MPLattice:
     def min_order(self, idx: int) -> int:
         return self.order_fn[idx]
 
-    def contains_vec_at(self, idx: int, k: int) -> bool:
-        return k >= self.order_fn[idx]
-
     def contains(self, elt: TwistedElement) -> bool:
         if self.twisted != (elt.form_degree == 1):
             raise ValueError("lattice and element twist mismatch")
@@ -152,42 +148,13 @@ def moy_prasad(p: Parahoric, n: int) -> MPLattice:
 
 
 def orthogonal_lattice(p: Parahoric, n: int) -> MPLattice:
-    """Annihilator of the level-n lattice under Res(k(.,.) dt/t).
-
-    Computed by the closed shift rule and again by brute-force residue
-    pairings over graded basis lines; the two must agree.
-    """
+    """Annihilator of the level-n lattice under Res(k(.,.) dt/t)."""
     rd, m = p.rd, p.m
-    plain = moy_prasad(p, n)
-    closed = {}
+    order = {}
     for i in range(rd.dim):
         w = p.eta_weight_line(i)
-        closed[i] = _ceil_div(1 - n - w, m) if rd.line_root(i) is not None else _ceil_div(1 - n, m)
-    brute = {}
-    for i in range(rd.dim):
-        opp = rd.opposite_line(i)
-        k0 = plain.order_fn[opp]
-        j = -k0 - 2 * m - 2
-        while True:
-            # the residue pairing of X_i t^j against X_opp t^k is supported
-            # on j + k = 0, so scanning a window above k0 is exhaustive
-            if all(j + k != 0 for k in range(k0, k0 + 4 * m + 5)):
-                brute[i] = j
-                break
-            j += 1
-    for i in range(rd.dim):
-        if brute[i] > closed[i]:
-            # brute-force scan starts below the closed value by construction;
-            # a later start can only signal a bug in the shift rule
-            raise MismatchError(
-                f"annihilator orders disagree on line {rd.line_name(i)}: "
-                f"closed {closed[i]}, brute {brute[i]}"
-            )
-        if brute[i] < closed[i]:
-            raise MismatchError(
-                f"brute-force annihilator admits line {rd.line_name(i)} below the closed rule"
-            )
-    return MPLattice(p, n, closed, twisted=True)
+        order[i] = _ceil_div(1 - n - w, m) if rd.line_root(i) is not None else _ceil_div(1 - n, m)
+    return MPLattice(p, n, order, twisted=True)
 
 
 def dual_lattice(lat: MPLattice) -> MPLattice:

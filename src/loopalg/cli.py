@@ -10,11 +10,11 @@ a golden file named after the subcommand and arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import List, Optional
 
 from .affine import build_parahoric, is_principal, kac_grading, moy_prasad, orthogonal_lattice
@@ -29,11 +29,9 @@ from .errors import (
     UnsupportedTypeError,
 )
 from .hitchin import (
-    chevalley_map,
     hitchin_bounds,
     invariant_system,
     residue_diagram,
-    sample_orth_element,
     torus_invariant_generator,
     verify_containment,
     verify_rs_image,
@@ -87,6 +85,30 @@ def _emit(payload: dict, args, slug: str) -> int:
                 fh.write(text)
             sys.stderr.write(f"golden created: {path}\n")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational number such as 2/3, got {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as one ``usage error:`` line, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
 
 
 def _parse_type(name: str):
@@ -165,78 +187,26 @@ def cmd_hitchin_image(args) -> int:
     return _emit(payload, args, slug)
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(type_name: str, coords, n: int, depth: int):
-    rd = _parse_type(type_name)
-    p = build_parahoric(rd, coords)
-    _POOL_STATE["inv"] = invariant_system(rd)
-    _POOL_STATE["p"] = p
-    _POOL_STATE["orth"] = orthogonal_lattice(p, n)
-    _POOL_STATE["depth"] = depth
-
-
-def _pool_sample(task):
-    import random
-
-    seed, s = task
-    inv = _POOL_STATE["inv"]
-    p = _POOL_STATE["p"]
-    orth = _POOL_STATE["orth"]
-    rng = random.Random(f"{seed}:{s}")
-    xi = sample_orth_element(p, orth, rng, depth=_POOL_STATE["depth"])
-    val = chevalley_map(inv, xi)
-    return s, [c.val() for c in val.components]
-
-
-def _parallel_containment(args, rd, p) -> dict:
-    inv = invariant_system(rd)
-    image = hitchin_bounds(p, args.n, inv.degrees)
-    floors = [d - b for d, b in zip(inv.degrees, image.bounds)]
-    tasks = [(args.seed, s) for s in range(args.samples)]
-    with Pool(args.jobs, initializer=_pool_init,
-              initargs=(args.type, p.kac_coords, args.n, 3)) as pool:
-        results = sorted(pool.map(_pool_sample, tasks))
-    min_val = [None] * len(inv.degrees)
-    for s, vals in results:
-        for i, v in enumerate(vals):
-            if v is None:
-                continue
-            if v < floors[i]:
-                raise ContainmentViolation(
-                    f"component {i} of sample {s} violates the bound", seed=f"{args.seed}:{s}"
-                )
-            if min_val[i] is None or v < min_val[i]:
-                min_val[i] = v
-    return {
-        "proposition": "size-of-image",
-        "type": rd.cartan.name,
-        "parahoric": list(p.kac_coords),
-        "n": args.n,
-        "m": p.m,
-        "samples": args.samples,
-        "seed": args.seed,
-        "depth": 3,
-        "degrees": list(inv.degrees),
-        "bounds": list(image.bounds),
-        "max_orders": [None if v is None else d - v for d, v in zip(inv.degrees, min_val)],
-        "status": "pass",
-    }
-
-
 def cmd_verify(args) -> int:
     rd = _parse_type(args.type)
     prop = args.proposition
     try:
         if prop == "size-of-image":
             p = _parse_kac(rd, args.kac)
-            if args.jobs > 1:
-                payload = _parallel_containment(args, rd, p)
+            if args.n is None:
+                raise ValueError("size-of-image needs --n")
+            sweep = functools.partial(
+                verify_containment, invariant_system(rd), p, args.n,
+                samples=args.samples, seed=args.seed,
+            )
+            workers = min(args.jobs, args.samples, os.cpu_count() or 1)
+            if workers > 1:
+                from multiprocessing import Pool
+
+                with Pool(workers) as pool:
+                    payload = sweep(map=pool.map)
             else:
-                payload = verify_containment(
-                    invariant_system(rd), p, args.n, samples=args.samples, seed=args.seed
-                )
+                payload = sweep()
             slug = (
                 f"verify-size-of-image_{rd.cartan.name}_"
                 f"{'-'.join(map(str, p.kac_coords))}_n{args.n}_s{args.samples}_seed{args.seed}"
@@ -288,7 +258,7 @@ def cmd_verify(args) -> int:
 
 def cmd_fg(args) -> int:
     rd = _parse_type(args.type)
-    a = Fraction(args.a)
+    a = args.a
     op = fg_connection(rd, a)
     payload = {
         "type": rd.cartan.name,
@@ -331,7 +301,7 @@ def cmd_hitchin_base(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="loopalg",
         description=(
             "Exact verification harness for parahoric filtrations of loop algebras, "
@@ -345,15 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="seed for all random draws")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sample sweeps")
+        p.add_argument(
+            "--jobs", type=_positive_int, default=1,
+            help="parallel workers for sample sweeps, at most one per sample and per CPU",
+        )
         if kac:
             p.add_argument("--kac", help="comma-separated alcove coordinates s_0,..,s_l")
         if n:
             p.add_argument("--n", type=int, default=None, help="filtration level")
         if samples:
-            p.add_argument("--samples", type=int, default=100)
+            p.add_argument("--samples", type=_positive_int, default=100)
         if trials:
-            p.add_argument("--trials", type=int, default=25)
+            p.add_argument("--trials", type=_positive_int, default=25)
 
     p = sub.add_parser("degrees", help="fundamental degrees, marks and Coxeter number")
     p.add_argument("type")
@@ -378,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="pole bounds d_i - ceil(d_i(1-n)/m) on the image of the level-n dual lattice",
     )
     p.add_argument("type")
-    common(p, kac=True, n=True)
+    p.add_argument("--n", type=int, required=True, help="filtration level")
+    common(p, kac=True)
     p.set_defaults(func=cmd_hitchin_image)
 
     p = sub.add_parser(
@@ -410,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="the rigid connection f/z + a e_theta: matrix, local checks, slope certificate",
     )
     p.add_argument("type")
-    p.add_argument("a", help="rational coefficient of the highest-root direction, e.g. 2/3")
+    p.add_argument(
+        "a", type=_rational, help="rational coefficient of the highest-root direction, e.g. 2/3"
+    )
     p.add_argument("--ode", action="store_true", help="include the scalar operator")
     common(p)
     p.set_defaults(func=cmd_fg)

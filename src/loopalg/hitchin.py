@@ -10,6 +10,7 @@ pole order d_i - v as a section of omega^{d_i}.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from . import ring
 from .affine import (
     MPLattice,
     Parahoric,
+    _ceil_div,
     graded_principal_triple,
     is_principal,
     iwahori,
@@ -46,19 +48,6 @@ from .rootdata import (
     fundamental_degrees,
     principal_triple,
 )
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _int_poly_mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            k = i + j
-            out[k] = out.get(k, 0) + x * y
-    return {k: v for k, v in out.items() if v}
 
 
 def _int_mat_mul(a, b):
@@ -247,25 +236,27 @@ class InvariantSystem:
         return [es[d - 1] for d in self.degrees]
 
     def _try_integer_values(self, xi: TwistedElement) -> Optional[List[LaurentPoly]]:
-        """Integer-coefficient fast path (exactly known, integral input only).
+        """Integer-coefficient fast path (exactly known input only).
 
+        With c the lcm of the coefficient denominators, c*xi has an integral
+        matrix (the defining rep is integral, checked when it is built).
         Matrix powers and traces run on plain int dicts; Newton's identities
-        reintroduce rationals only on the final short polynomials.
+        reintroduce rationals only on the final short polynomials, and
+        e_d(xi) = e_d(c*xi) / c^d.
         """
-        for poly in xi.value.values():
-            if not poly.is_exact or any(c.denominator != 1 for c in poly.coeffs.values()):
-                return None
+        if not all(poly.is_exact for poly in xi.value.values()):
+            return None
+        den = math.lcm(*(c.denominator for poly in xi.value.values() for c in poly.coeffs.values()))
         rd = self.rd
         n = rd.rep_dim
         entries: List[List[Dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
         for idx, poly in xi.value.items():
+            cleared = {k: v.numerator * (den // v.denominator) for k, v in poly.coeffs.items()}
             for (i, j), c in rd.rep_matrix(idx).items():
-                if c.denominator != 1:
-                    return None
                 row = entries[i][j]
-                ci = int(c)
-                for k, v in poly.coeffs.items():
-                    row[k] = row.get(k, 0) + ci * int(v)
+                ci = c.numerator
+                for k, v in cleared.items():
+                    row[k] = row.get(k, 0) + ci * v
         kmax = max(self.degrees)
         psums = _int_power_sums(entries, kmax)
         es: List[Dict[int, Fraction]] = []
@@ -279,7 +270,8 @@ class InvariantSystem:
                         acc[key] = acc.get(key, Fraction(0)) + sgn * v1 * v2
             lead = Fraction((-1) ** (k - 1), k)
             es.append({e: v * lead for e, v in acc.items() if v != 0})
-        return [LaurentPoly.exact(es[d - 1]) for d in self.degrees]
+        return [LaurentPoly.exact({e: v / den ** d for e, v in es[d - 1].items()})
+                for d in self.degrees]
 
     def invariants_at_point(self, v: Vec) -> List[Fraction]:
         vals = self.invariant_values(v)
@@ -330,30 +322,35 @@ def sample_orth_element(
     return TwistedElement(value, rd.dim, 1)
 
 
+def _sample_orders(
+    inv: InvariantSystem, p: Parahoric, orth: MPLattice, seed: int, depth: int, s: int
+) -> List[Optional[int]]:
+    """t-orders of the Hitchin components of sample s (None for a zero component)."""
+    xi = sample_orth_element(p, orth, random.Random(f"{seed}:{s}"), depth=depth)
+    return [comp.val() for comp in chevalley_map(inv, xi).components]
+
+
 def verify_containment(
-    inv: InvariantSystem, p: Parahoric, n: int, samples: int = 100, seed: int = 0, depth: int = 3
+    inv: InvariantSystem, p: Parahoric, n: int, samples: int = 100, seed: int = 0, depth: int = 3,
+    map=map,
 ) -> dict:
-    """Sample the dual lattice and check the image against the pole bounds."""
+    """Sample the dual lattice and check the image against the pole bounds.
+
+    ``map`` evaluates the samples (``pool.map`` for a process pool); the
+    report does not depend on it.
+    """
     rd = inv.rd
     image = hitchin_bounds(p, n, inv.degrees)
     orth = orthogonal_lattice(p, n)
     min_val = [None] * len(inv.degrees)
     floors = [d - b for d, b in zip(inv.degrees, image.bounds)]
-    for s in range(samples):
-        rng = random.Random(f"{seed}:{s}")
-        xi = sample_orth_element(p, orth, rng, depth=depth)
-        # scaling by the common denominator leaves every t-order unchanged
-        # and keeps the matrix arithmetic integral
-        den = 1
-        for poly in xi.value.values():
-            for c in poly.coeffs.values():
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        val = chevalley_map(inv, xi.scale(den))
-        for i, comp in enumerate(val.components):
-            v = comp.val()
+    orders = map(functools.partial(_sample_orders, inv, p, orth, seed, depth), range(samples))
+    for s, vals in enumerate(orders):
+        for i, v in enumerate(vals):
             if v is None:
                 continue
             if v < floors[i]:
+                xi = sample_orth_element(p, orth, random.Random(f"{seed}:{s}"), depth=depth)
                 raise ContainmentViolation(
                     f"component {i} of sample {s} has t-order {v} < {floors[i]} "
                     f"({rd.cartan.name}, coords {p.kac_coords}, n={n}, seed={seed})",

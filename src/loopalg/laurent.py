@@ -86,11 +86,6 @@ class LaurentPoly:
         """True iff all known coefficients vanish."""
         return not self.coeffs
 
-    def truncate(self, hi) -> "LaurentPoly":
-        if hi >= self.hi:
-            return self
-        return LaurentPoly({k: v for k, v in self.coeffs.items() if k <= hi}, self.lo, hi)
-
     # -- coefficient access ----------------------------------------------
 
     def coeff(self, k: int) -> Fraction:

@@ -63,6 +63,27 @@ class TestExitCodes:
         assert r.returncode == 0
         assert json.loads(r.stdout)["status"] == "pass"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1",
+             "--samples", "0"),
+            ("verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1",
+             "--jobs", "0"),
+            ("verify", "surjectivity", "--type", "A1", "--trials", "0"),
+            ("verify", "size-of-image", "--type", "A1", "--kac", "1,1"),
+            ("hitchin-image", "A1", "--kac", "1,1"),
+            ("fg", "A1", "1/0"),
+        ],
+        ids=["samples-0", "jobs-0", "trials-0", "size-of-image-no-n", "hitchin-image-no-n",
+             "fg-zero-denominator"],
+    )
+    def test_usage_errors_exit_2(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("usage error:") and r.stderr.count("\n") == 1
+
     def test_verify_non_principal_exit_1(self):
         r = run_cli("verify", "surjectivity", "--type", "C2", "--kac", "0,1,0", "--trials", "2")
         assert r.returncode == 1
@@ -81,6 +102,46 @@ class TestDeterminism:
         a = run_cli(*base)
         b = run_cli(*base, "--jobs", "3")
         assert a.stdout == b.stdout
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("jobs,samples,workers", [(8, 3, 3), (2, 50, 2)])
+    def test_workers_capped_at_samples_and_cpus(self, monkeypatch, capsys, jobs, samples, workers):
+        import multiprocessing
+
+        from loopalg import cli
+
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, f, xs):
+                return [f(x) for x in xs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
+        argv = ["verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1",
+                "--samples", str(samples)]
+        assert cli.cmd_verify(cli.build_parser().parse_args(argv)) == 0
+        serial = capsys.readouterr().out
+        assert started == []
+        assert cli.cmd_verify(cli.build_parser().parse_args(argv + ["--jobs", str(jobs)])) == 0
+        assert started == [workers]
+        assert capsys.readouterr().out == serial
+
+    def test_cli_import_does_not_load_multiprocessing(self):
+        code = "import sys, loopalg.cli; assert 'multiprocessing' not in sys.modules"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
 
 
 class TestGoldenMode:

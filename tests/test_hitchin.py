@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from loopalg import hitchin, ring
 from loopalg.affine import build_parahoric, hyperspecial, iwahori, orthogonal_lattice
-from loopalg.errors import SurjectivityFailure
+from loopalg.errors import ContainmentViolation, SurjectivityFailure
 from loopalg.hitchin import (
     chevalley_map,
     hitchin_bounds,
@@ -110,6 +111,21 @@ class TestInvariantSystem:
         # det of diag(-1, 1): the recorded normalization constant
         assert val.components[0].coeffs == {0: Fraction(-1)}
 
+    @pytest.mark.parametrize("name", INVARIANT_TYPES)
+    def test_rational_samples_match_generic_charpoly(self, name):
+        rd = rd_of(name)
+        inv = invariant_system(rd)
+        p = iwahori(rd)
+        orth = orthogonal_lattice(p, 2)
+        rng = random.Random(f"oracle:{name}")
+        for _ in range(5):
+            xi = sample_orth_element(p, orth, rng)
+            assert any(c.denominator != 1 for q in xi.value.values() for c in q.coeffs.values())
+            es = ring.charpoly_esym(inv._laurent_matrix(xi), max(inv.degrees))
+            got = inv.invariant_values(xi)
+            for d, comp in zip(inv.degrees, got):
+                assert comp.is_exact and comp.coeffs == es[d - 1].coeffs
+
     def test_window_underflow_propagates(self):
         from loopalg.errors import WindowUnderflowError
 
@@ -175,6 +191,32 @@ class TestContainment:
         rep = verify_containment(invariant_system(rd), iwahori(rd), 0, samples=60, seed=2)
         assert rep["bounds"] == [1]  # d_1 - 1
         assert rep["status"] == "pass"
+
+    def test_map_callable_does_not_change_report(self):
+        rd = rd_of("C2")
+        inv = invariant_system(rd)
+        p = iwahori(rd)
+        serial = verify_containment(inv, p, 1, samples=30, seed=5)
+        mapped = verify_containment(
+            inv, p, 1, samples=30, seed=5, map=lambda f, xs: list(map(f, xs))
+        )
+        assert mapped == serial
+
+    def test_violation_carries_the_same_witness_on_both_paths(self, monkeypatch):
+        real = hitchin.hitchin_bounds
+        # the bounds of a much lower level are violated by the first nonzero sample
+        monkeypatch.setattr(hitchin, "hitchin_bounds", lambda p, n, degs: real(p, n - 10, degs))
+        rd = rd_of("A2")
+        inv = invariant_system(rd)
+        p = iwahori(rd)
+        caught = []
+        for kw in ({}, {"map": lambda f, xs: list(map(f, xs))}):
+            with pytest.raises(ContainmentViolation) as ex:
+                verify_containment(inv, p, 2, samples=10, seed=4, **kw)
+            caught.append(ex.value)
+        serial, mapped = caught
+        assert serial.seed == mapped.seed and serial.seed.startswith("4:")
+        assert serial.witness == mapped.witness and serial.witness
 
     def test_gauge_invariance_of_map(self):
         """Conjugating by exp of a nilpotent over O leaves the image fixed."""
