@@ -124,6 +124,13 @@ def _parse_kac(rd, text: Optional[str], default_iwahori: bool = False):
     return build_parahoric(rd, coords)
 
 
+def _parse_iwahori(rd, text: Optional[str], prop: str):
+    p = _parse_kac(rd, text, default_iwahori=True)
+    if not p.is_iwahori:
+        raise ValueError(f"{prop} is computed for the Iwahori only, got --kac {text}")
+    return p
+
+
 def cmd_degrees(args) -> int:
     rd = _parse_type(args.type)
     degs = list(fundamental_degrees(rd))
@@ -229,7 +236,7 @@ def cmd_verify(args) -> int:
                 f"{'-'.join(map(str, p.kac_coords))}_seed{args.seed}"
             )
         elif prop == "residue-diagram":
-            p = _parse_kac(rd, args.kac, default_iwahori=True)
+            p = _parse_iwahori(rd, args.kac, prop)
             payload = residue_diagram(
                 invariant_system(rd), p, samples=args.samples, seed=args.seed
             )
@@ -238,8 +245,7 @@ def cmd_verify(args) -> int:
             payload = global_oper_space(rd)
             slug = f"verify-global-oper_{rd.cartan.name}"
         elif prop == "invariant-generator":
-            p = _parse_kac(rd, args.kac, default_iwahori=True)
-            payload = torus_invariant_generator(p)
+            payload = torus_invariant_generator(_parse_iwahori(rd, args.kac, prop))
             slug = f"verify-invariant-generator_{rd.cartan.name}"
         else:  # pragma: no cover
             raise InvalidCoordinatesError(f"unknown proposition {prop}")
@@ -251,6 +257,9 @@ def cmd_verify(args) -> int:
             "error": type(ex).__name__,
             "message": str(ex),
         }
+        if isinstance(ex, ContainmentViolation):
+            failure["seed"] = ex.seed
+            failure["witness"] = ex.witness
         sys.stdout.write(_render(failure, args.format))
         return 1
     return _emit(payload, args, slug)

@@ -50,61 +50,6 @@ from .rootdata import (
 )
 
 
-def _int_mat_mul(a, b):
-    n = len(a)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for s in range(n):
-            x = arow[s]
-            if not x:
-                continue
-            brow = b[s]
-            for j in range(n):
-                y = brow[j]
-                if y:
-                    acc = orow[j]
-                    for e1, v1 in x.items():
-                        for e2, v2 in y.items():
-                            k = e1 + e2
-                            acc[k] = acc.get(k, 0) + v1 * v2
-    return [[{k: v for k, v in cell.items() if v} for cell in row] for row in out]
-
-
-def _int_trace(a) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for i in range(len(a)):
-        for k, v in a[i][i].items():
-            out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _int_trace_product(a, b) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for i in range(len(a)):
-        for j in range(len(b)):
-            x, y = a[i][j], b[j][i]
-            if x and y:
-                for e1, v1 in x.items():
-                    for e2, v2 in y.items():
-                        k = e1 + e2
-                        out[k] = out.get(k, 0) + v1 * v2
-    return {k: v for k, v in out.items() if v}
-
-
-def _int_power_sums(m, kmax: int) -> List[Dict[int, int]]:
-    powers = {1: m}
-    need = (kmax + 1) // 2
-    for k in range(2, need + 1):
-        powers[k] = _int_mat_mul(powers[k - 1], m)
-    sums = [_int_trace(m)]
-    for k in range(2, kmax + 1):
-        i = k // 2
-        sums.append(_int_trace_product(powers[i], powers[k - i]))
-    return sums
-
-
 @dataclass
 class HitchinValue:
     """Tuple of Laurent components, component i against (dt/t)^{d_i}."""
@@ -211,17 +156,23 @@ class InvariantSystem:
 
     # -- evaluation -------------------------------------------------------
 
-    def _laurent_matrix(self, xi: TwistedElement) -> List[List[LaurentPoly]]:
-        rd = self.rd
-        n = rd.rep_dim
-        zero = LaurentPoly.zero()
-        entries = [[zero for _ in range(n)] for _ in range(n)]
-        for idx, poly in xi.value.items():
-            for (i, j), c in rd.rep_matrix(idx).items():
-                entries[i][j] = entries[i][j] + poly.scale(c)
-        return entries
-
     def invariant_values(self, vec_or_xi) -> List[LaurentPoly]:
+        """e_d of the defining representation, one per fundamental degree.
+
+        With c the lcm of the coefficient denominators and L the least exponent
+        present, c t^-L xi has a matrix over Z[t] (the defining rep is integral,
+        checked when it is built).  Kronecker substitution t -> 2^w packs each
+        entry into one int, ``ring.charpoly_esym`` runs on the packed matrix,
+        and e_d is unpacked with balanced digits at offset d L, then divided by
+        c^d.  The slot width w holds every coefficient: e_d is a sum of C(n, d)
+        principal minors, each of l1-norm at most R^d for R >= 1 bounding the
+        row l1-norms of the matrix over Z[t].
+
+        Windowed input takes the same path on its known coefficients.  With H
+        the least window hi and L_w the least window lo of xi's entries, a
+        monomial of e_d that touches an unknown tail has t-order above
+        H + (d-1) L_w, so e_d is known exactly through that exponent.
+        """
         if isinstance(vec_or_xi, TwistedElement):
             xi = vec_or_xi
         else:
@@ -229,49 +180,51 @@ class InvariantSystem:
                 {i: LaurentPoly.const(c) for i, c in enumerate(vec_or_xi) if c != 0},
                 self.rd.dim, 1,
             )
-        fast = self._try_integer_values(xi)
-        if fast is not None:
-            return fast
-        es = ring.charpoly_esym(self._laurent_matrix(xi), max(self.degrees))
-        return [es[d - 1] for d in self.degrees]
-
-    def _try_integer_values(self, xi: TwistedElement) -> Optional[List[LaurentPoly]]:
-        """Integer-coefficient fast path (exactly known input only).
-
-        With c the lcm of the coefficient denominators, c*xi has an integral
-        matrix (the defining rep is integral, checked when it is built).
-        Matrix powers and traces run on plain int dicts; Newton's identities
-        reintroduce rationals only on the final short polynomials, and
-        e_d(xi) = e_d(c*xi) / c^d.
-        """
-        if not all(poly.is_exact for poly in xi.value.values()):
-            return None
-        den = math.lcm(*(c.denominator for poly in xi.value.values() for c in poly.coeffs.values()))
+        polys = list(xi.value.values())
+        den = 1
+        for poly in polys:
+            for q in poly.coeffs.values():
+                den = math.lcm(den, q.denominator)
+        low = min((k for poly in polys for k in poly.coeffs), default=0)
         rd = self.rd
         n = rd.rep_dim
-        entries: List[List[Dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
-        for idx, poly in xi.value.items():
-            cleared = {k: v.numerator * (den // v.denominator) for k, v in poly.coeffs.items()}
-            for (i, j), c in rd.rep_matrix(idx).items():
-                row = entries[i][j]
-                ci = c.numerator
-                for k, v in cleared.items():
-                    row[k] = row.get(k, 0) + ci * v
         kmax = max(self.degrees)
-        psums = _int_power_sums(entries, kmax)
-        es: List[Dict[int, Fraction]] = []
-        for k in range(1, kmax + 1):
-            acc = {e: Fraction(v) for e, v in psums[k - 1].items()}
-            for i in range(1, k):
-                sgn = (-1) ** i
-                for e1, v1 in es[i - 1].items():
-                    for e2, v2 in psums[k - i - 1].items():
-                        key = e1 + e2
-                        acc[key] = acc.get(key, Fraction(0)) + sgn * v1 * v2
-            lead = Fraction((-1) ** (k - 1), k)
-            es.append({e: v * lead for e, v in acc.items() if v != 0})
-        return [LaurentPoly.exact({e: v / den ** d for e, v in es[d - 1].items()})
-                for d in self.degrees]
+        cleared = {}
+        norms = [0] * n
+        for idx, poly in xi.value.items():
+            ints = {k - low: q.numerator * (den // q.denominator) for k, q in poly.coeffs.items()}
+            size = sum(map(abs, ints.values()))
+            for (i, _), c in rd.rep_matrix(idx).items():
+                norms[i] += abs(c.numerator) * size
+            cleared[idx] = ints
+        w = ((1 << n) * max(1, max(norms)) ** kmax).bit_length() + 1
+        entries = [[0] * n for _ in range(n)]
+        for idx, ints in cleared.items():
+            packed = sum(v << (w * k) for k, v in ints.items())
+            for (i, j), c in rd.rep_matrix(idx).items():
+                entries[i][j] += c.numerator * packed
+        es = ring.charpoly_esym(entries, kmax)
+        exact = all(poly.is_exact for poly in polys)
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        out = []
+        for d in self.degrees:
+            value, k, scale = es[d - 1], d * low, den ** d
+            coeffs = {}
+            while value:
+                digit = value & mask
+                if digit >= half:
+                    digit -= 1 << w
+                if digit:
+                    coeffs[k] = Fraction(digit, scale)
+                value = (value - digit) >> w
+                k += 1
+            if exact:
+                out.append(LaurentPoly.exact(coeffs))
+            else:
+                low_w = min(poly.lo for poly in polys)
+                hi = min(poly.hi for poly in polys) + (d - 1) * low_w
+                out.append(LaurentPoly({e: v for e, v in coeffs.items() if e <= hi}, d * low_w, hi))
+        return out
 
     def invariants_at_point(self, v: Vec) -> List[Fraction]:
         vals = self.invariant_values(v)

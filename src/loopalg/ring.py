@@ -7,6 +7,8 @@ Everything here is coefficient-exact; ring elements only need ``+``, ``-``,
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -28,50 +30,42 @@ def mat_mul(a, b):
         out.append(row)
     return out
 
-def trace(a):
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
 
-def trace_product(a, b):
-    """tr(a b) without forming the product matrix."""
-    acc = None
-    for i in range(len(a)):
-        for j in range(len(b)):
-            term = a[i][j] * b[j][i]
-            acc = term if acc is None else acc + term
-    return acc
+def charpoly_esym(m, kmax: int) -> List:
+    """Elementary symmetric functions e_1..e_kmax (kmax <= len(m)) of the eigenvalues of m.
 
-
-def power_sums(m, kmax: int):
-    """Traces of m^1 .. m^kmax using at most ceil(kmax/2) - 1 matrix products."""
-    powers = {1: m}
-    need = (kmax + 1) // 2
-    for k in range(2, need + 1):
-        powers[k] = mat_mul(powers[k - 1], m)
-    sums = [trace(m)]
-    for k in range(2, kmax + 1):
-        i = k // 2
-        sums.append(trace_product(powers[i], powers[k - i]))
-    return sums
-
-
-def elementary_symmetric(psums: Sequence, kmax: int) -> List:
-    """Newton's identities: e_k from power sums p_1..p_k (char 0 only)."""
+    Berkowitz's division-free recursion: it uses only ``+``, ``-`` and ``*``
+    of the entries, so it runs unchanged on ints, MultiPoly and LaurentPoly.
+    Step r borders the leading block M (size r-1, invariants E_k, E_0 = 1)
+    by column c, row u and corner a; then
+    e_k = E_k + a E_{k-1} + sum_{i>=2} (-1)^(i-1) (u M^(i-2) c) E_{k-i}.
+    """
     es: List = []
-    for k in range(1, kmax + 1):
-        acc = psums[k - 1]
-        for i in range(1, k):
-            term = es[i - 1] * psums[k - i - 1]
-            acc = acc + term.scale(Fraction(-1) ** i)
-        es.append(acc.scale(Fraction((-1) ** (k - 1), k)))
+    for r in range(len(m)):
+        a, row = m[r][r], m[r][:r]
+        block = [m[i][:r] for i in range(r)]
+        col = [m[i][r] for i in range(r)]
+        # s[i - 2] = u M^(i-2) c for the bordering terms of orders 2..min(kmax, r+1)
+        s = []
+        for i in range(2, min(kmax, r + 1) + 1):
+            if i > 2:
+                col = [_dot(brow, col) for brow in block]
+            s.append(_dot(row, col))
+        new = []
+        for k in range(1, min(kmax, r + 1) + 1):
+            acc = a if k == 1 else a * es[k - 2]
+            if k <= r:
+                acc = es[k - 1] + acc
+            for i in range(2, k + 1):
+                term = s[i - 2] if i == k else s[i - 2] * es[k - i - 1]
+                acc = acc + term if i % 2 else acc - term
+            new.append(acc)
+        es = new
     return es
 
 
-def charpoly_esym(m, kmax: int) -> List:
-    """Elementary symmetric functions e_1..e_kmax of the eigenvalues of m."""
-    return elementary_symmetric(power_sums(m, kmax), kmax)
+def _dot(row, col):
+    return functools.reduce(operator.add, map(operator.mul, row, col))
 
 
 # -- multivariate polynomials over Q ----------------------------------------

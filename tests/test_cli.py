@@ -74,15 +74,43 @@ class TestExitCodes:
             ("verify", "size-of-image", "--type", "A1", "--kac", "1,1"),
             ("hitchin-image", "A1", "--kac", "1,1"),
             ("fg", "A1", "1/0"),
+            ("verify", "invariant-generator", "--type", "A2", "--kac", "1,0,0"),
+            ("verify", "residue-diagram", "--type", "A2", "--kac", "1,0,0"),
         ],
         ids=["samples-0", "jobs-0", "trials-0", "size-of-image-no-n", "hitchin-image-no-n",
-             "fg-zero-denominator"],
+             "fg-zero-denominator", "invariant-generator-not-iwahori",
+             "residue-diagram-not-iwahori"],
     )
     def test_usage_errors_exit_2(self, argv):
         r = run_cli(*argv)
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr.startswith("usage error:") and r.stderr.count("\n") == 1
+
+    def test_containment_failure_reports_seed_and_witness(self, monkeypatch, capsys):
+        import random
+
+        from loopalg import cli, hitchin
+        from loopalg.affine import iwahori, orthogonal_lattice
+        from loopalg.rootdata import CartanType, build_root_datum
+
+        real = hitchin.hitchin_bounds
+        # the bounds of a much lower level are violated by the first nonzero sample
+        monkeypatch.setattr(hitchin, "hitchin_bounds", lambda p, n, degs: real(p, n - 10, degs))
+        monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
+        code = cli.main(["verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1",
+                         "--samples", "3", "--seed", "6"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["status"] == "fail" and report["error"] == "ContainmentViolation"
+        assert report["seed"].startswith("6:") and report["witness"]
+        if jsonschema is not None:
+            jsonschema.validate(report, load_schema("report"))
+        # the seed redraws the witness
+        rd = build_root_datum(CartanType.parse("A1"))
+        p = iwahori(rd)
+        xi = hitchin.sample_orth_element(p, orthogonal_lattice(p, 1), random.Random(report["seed"]))
+        assert report["witness"] == {str(i): q.to_pairs() for i, q in xi.value.items()}
 
     def test_verify_non_principal_exit_1(self):
         r = run_cli("verify", "surjectivity", "--type", "C2", "--kac", "0,1,0", "--trials", "2")

@@ -30,6 +30,16 @@ def rd_of(name):
     return build_root_datum(CartanType.parse(name))
 
 
+def laurent_matrix(rd, xi):
+    """Defining-representation matrix of xi with LaurentPoly entries."""
+    n = rd.rep_dim
+    entries = [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
+    for idx, poly in xi.value.items():
+        for (i, j), c in rd.rep_matrix(idx).items():
+            entries[i][j] = entries[i][j] + poly.scale(c)
+    return entries
+
+
 def const_element(rd, vec):
     return TwistedElement(
         {i: LaurentPoly.const(c) for i, c in enumerate(vec) if c != 0}, rd.dim, 1
@@ -121,7 +131,7 @@ class TestInvariantSystem:
         for _ in range(5):
             xi = sample_orth_element(p, orth, rng)
             assert any(c.denominator != 1 for q in xi.value.values() for c in q.coeffs.values())
-            es = ring.charpoly_esym(inv._laurent_matrix(xi), max(inv.degrees))
+            es = ring.charpoly_esym(laurent_matrix(rd, xi), max(inv.degrees))
             got = inv.invariant_values(xi)
             for d, comp in zip(inv.degrees, got):
                 assert comp.is_exact and comp.coeffs == es[d - 1].coeffs
