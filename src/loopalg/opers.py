@@ -565,45 +565,36 @@ def slope_certificate(op: Oper, search_range: Optional[int] = None) -> dict:
 # -- scalar reduction ---------------------------------------------------------
 
 
-def _laurent_to_ratfunc(p: LaurentPoly) -> RatFunc:
-    if not p.is_exact:
-        raise MismatchError("scalar reduction needs exactly known coefficients")
-    if not p.coeffs:
-        return RatFunc.const(0)
-    lo = min(p.coeffs)
-    shift = -lo if lo < 0 else 0
-    num = [Fraction(0)] * (max(p.coeffs) + shift + 1)
-    for k, c in p.coeffs.items():
-        num[k + shift] = c
-    den = [Fraction(0)] * shift + [Fraction(1)]
-    return RatFunc(Poly(num), Poly(den))
-
-
 def cyclic_ode(op: Oper) -> dict:
     """Monic scalar operator annihilating one coordinate of the flat sections.
 
     Flat sections satisfy v' = -A(z) v in the defining representation of the
-    dual datum; starting from the first basis vector, functionals are
-    propagated by w -> w' - A^T w until they become dependent.  Fallback
-    start vectors are attempted in basis order.
+    dual datum; starting from a basis vector, functionals are propagated by
+    w -> w' - A^T w up to w_n.  The start is cyclic when w_0..w_{n-1} are
+    independent over Q(z); then w_n + sum c_r w_r = 0 has exactly one
+    solution.  Start vectors are attempted in basis order.
     """
     rd = op.rd
     n = rd.rep_dim
-    zero = RatFunc.const(0)
-    A = [[zero for _ in range(n)] for _ in range(n)]
+    if not all(p.is_exact for p in op.coeffs.values()):
+        raise MismatchError("scalar reduction needs exactly known coefficients")
+    entries: Dict[Tuple[int, int], LaurentPoly] = {}
     for idx, poly in op.coeffs.items():
-        rf = _laurent_to_ratfunc(poly)
-        for (i, j), c in rd.rep_matrix(idx).items():
-            A[i][j] = A[i][j] + rf.scale(c)
+        for key, c in rd.rep_matrix(idx).items():
+            entries[key] = entries.get(key, LaurentPoly.zero()) + poly.scale(c)
+    # A^T row by row: at[i] lists (j, A[j][i]) for the nonzero entries
+    at: List[List[Tuple[int, LaurentPoly]]] = [[] for _ in range(n)]
+    for (j, i), p in entries.items():
+        if not p.known_zero():
+            at[i].append((j, p))
     for start in range(n):
-        result = _cyclic_from(A, start, n)
-        if result is not None and result[0] == n:
-            order, coeffs = result
+        coeffs = _cyclic_from(at, start, n)
+        if coeffs is not None:
             return {
                 "proposition": "cyclic-ode",
                 "dual_type": rd.cartan.name,
                 "start_vector": start,
-                "order": order,
+                "order": n,
                 "monic_coefficients": [f"({c.num})/({c.den})" for c in coeffs],
                 "coefficients_raw": coeffs,
                 "status": "pass",
@@ -611,46 +602,42 @@ def cyclic_ode(op: Oper) -> dict:
     raise CyclicFailure("no basis vector is cyclic for this connection")
 
 
-def _cyclic_from(A: List[List[RatFunc]], start: int, n: int) -> Optional[Tuple[int, List[RatFunc]]]:
-    zero = RatFunc.const(0)
-    w = [RatFunc.const(1) if i == start else zero for i in range(n)]
-    ws = [list(w)]
-    for k in range(1, n + 1):
-        nxt = []
-        for i in range(n):
-            term = ws[-1][i].derivative()
-            for j in range(n):
-                if not A[j][i].is_zero():
-                    term = term - A[j][i] * ws[-1][j]
-            nxt.append(term)
-        # test dependency of nxt on ws
-        rows = [[ws[r][i] for r in range(len(ws))] for i in range(n)]
-        rhs = [nxt[i] for i in range(n)]
-        sol = _ratfunc_solve(rows, rhs)
-        if sol is not None:
-            coeffs = [zero - c for c in sol]
-            return k, coeffs
-        ws.append(nxt)
-    return None
+def _cyclic_from(at: List[List[Tuple[int, LaurentPoly]]], start: int, n: int) -> Optional[List[RatFunc]]:
+    """c_0..c_{n-1} with w_n + sum c_r w_r = 0, or None if ``start`` is not cyclic.
+
+    Column r = w_r is multiplied by z^{-m_r}, m_r its least exponent, so the
+    system lies over Q[z] and one fraction-free solve decides it.
+    """
+    zero = LaurentPoly.zero()
+    w = [LaurentPoly.one() if i == start else zero for i in range(n)]
+    ws = [w]
+    for _ in range(n):
+        w = [w[i].derivative() - sum((p * w[j] for j, p in at[i]), zero) for i in range(n)]
+        ws.append(w)
+    lows = [min((k for p in col for k in p.coeffs), default=0) for col in ws]
+    rows = [[_poly_shifted(col[i], -m) for col, m in zip(ws, lows)] for i in range(n)]
+    solved = ring.bareiss_solve(rows)
+    if solved is None:
+        return None
+    ys, det = solved
+    coeffs = []
+    for y, m in zip(ys, lows):
+        # w_r's coefficient is y z^{m_n - m_r} / det
+        k = lows[n] - m
+        coeffs.append(RatFunc(-(y * _z_power(max(k, 0))), det * _z_power(max(-k, 0))))
+    return coeffs
 
 
-def _ratfunc_solve(rows: List[List[RatFunc]], rhs: List[RatFunc]) -> Optional[List[RatFunc]]:
-    """Solve rows * x = rhs over Q(z), or None when inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red = ring.ratfunc_row_reduce(aug)
-    x = [RatFunc.const(0)] * ncols
-    pivots = []
-    for row in red:
-        piv = next((c for c in range(ncols + 1) if not row[c].is_zero()), None)
-        if piv is None:
-            continue
-        if piv == ncols:
-            return None
-        pivots.append((piv, row))
-    for piv, row in pivots:
-        x[piv] = row[ncols]
-    return x
+def _poly_shifted(p: LaurentPoly, k: int) -> Poly:
+    """z^k p as a polynomial (k at least minus the valuation of p)."""
+    cs = [Fraction(0)] * (max(p.coeffs, default=-k) + k + 1)
+    for e, c in p.coeffs.items():
+        cs[e + k] = c
+    return Poly(cs)
+
+
+def _z_power(k: int) -> Poly:
+    return Poly([0] * k + [1])
 
 
 def ode_substitute_infinity(order: int, coeffs: List[RatFunc]) -> Dict[int, RatFunc]:

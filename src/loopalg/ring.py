@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 # -- generic matrices ------------------------------------------------------
@@ -247,9 +247,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def is_squarefree(self) -> bool:
-        return self.gcd(self.derivative()).degree() <= 0
-
     def __eq__(self, o):
         if not isinstance(o, Poly):
             return NotImplemented
@@ -413,6 +410,36 @@ def primitive_integer_vector(vec: List[Fraction]) -> List[int]:
     if lead < 0:
         ints = [-v for v in ints]
     return ints
+
+
+def bareiss_solve(aug: List[List[Poly]]) -> Optional[Tuple[List[Poly], Poly]]:
+    """Solve M y = b over Q(z) for an n x (n+1) matrix [M | b] over Q[z].
+
+    Fraction-free Gauss-Jordan (Bareiss): step k replaces each entry off
+    row k by (p_k a_ij - a_ik a_kj) / p_{k-1}, an exact polynomial division,
+    so every entry stays in Q[z].  Returns (d y, d) with d = +-det M, or None
+    when det M = 0.
+    """
+    a = [list(r) for r in aug]
+    n = len(a)
+    prev = Poly.const(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        pk, row_k = a[k][k], a[k]
+        for i in range(n):
+            if i == k:
+                continue
+            aik, row = a[i][k], a[i]
+            for j in range(k + 1, n + 1):
+                q, r = (pk * row[j] - aik * row_k[j]).divmod(prev)
+                if not r.is_zero():
+                    raise ArithmeticError("inexact Bareiss division")
+                row[j] = q
+        prev = pk
+    return [row[n] for row in a], prev
 
 
 def ratfunc_row_reduce(rows: List[List[RatFunc]]) -> List[List[RatFunc]]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ring
@@ -733,31 +734,34 @@ def fundamental_degrees(rd: RootDatum) -> Degrees:
     return rd._degrees_cache
 
 
-def minimal_polynomial(m: List[Vec]) -> ring.Poly:
-    """Minimal polynomial of an exact rational matrix (dense rows)."""
-    n = len(m)
-    ident = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    flats = [[ident[i][j] for i in range(n) for j in range(n)]]
-    cur = ident
-    for k in range(1, n + 2):
-        cur = ring.mat_mul(cur, m)
-        flats.append([cur[i][j] for i in range(n) for j in range(n)])
-        rows = [[flats[a][b] for a in range(k + 1)] for b in range(n * n)]
-        ker = ring.kernel_basis(rows)
-        if ker:
-            vec = ker[0]
-            if vec[k] == 0:
-                raise MismatchError("dependency without top coefficient")  # pragma: no cover
-            return ring.Poly([c / vec[k] for c in vec])
-    raise MismatchError("no minimal polynomial found")  # pragma: no cover
-
-
 def is_regular_semisimple(rd: RootDatum, x: Sequence[Fraction]) -> bool:
-    """dim ker(ad x) = rank and ad x has squarefree minimal polynomial."""
-    ad = rd.ad_matrix(list(x))
-    if len(ring.kernel_basis(ad)) != rd.rank:
+    """dim ker(ad x) = rank, and x is semisimple.
+
+    The defining representation is faithful, so it preserves the Jordan
+    decomposition: x is semisimple iff rep(x) is, i.e. iff the squarefree
+    part s = p / gcd(p, p') of its characteristic polynomial p annihilates
+    it.  rep(x) is first scaled to an integer matrix M, which changes
+    neither answer; p comes from ``ring.charpoly_esym`` and s(M) from
+    Horner's rule over the integers.
+    """
+    if len(ring.kernel_basis(rd.ad_matrix(list(x)))) != rd.rank:
         return False
-    return minimal_polynomial(ad).is_squarefree()
+    rep = rd.rep_of_vec(list(x))
+    den = 1
+    for v in rep.values():
+        den = lcm(den, v.denominator)
+    n = rd.rep_dim
+    m = [[int(rep.get((i, j), 0) * den) for j in range(n)] for i in range(n)]
+    es = [1] + ring.charpoly_esym(m, n)
+    p = ring.Poly([(-1) ** (n - j) * es[n - j] for j in range(n + 1)])
+    squarefree = p.divmod(p.gcd(p.derivative()))[0]
+    s = ring.primitive_integer_vector(squarefree.cs)
+    acc = [[s[-1] if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(s[:-1]):
+        acc = ring.mat_mul(acc, m)
+        for i in range(n):
+            acc[i][i] += c
+    return not any(any(row) for row in acc)
 
 
 def is_nilpotent(rd: RootDatum, x: Sequence[Fraction]) -> bool:

@@ -1,11 +1,12 @@
 """Normal forms, the rigid connection, and its local certificates."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from loopalg.errors import NotOperShapeError
+from loopalg.errors import CyclicFailure, MismatchError, NotOperShapeError
 from loopalg.laurent import LaurentPoly
 from loopalg.opers import (
     Oper,
@@ -25,6 +26,7 @@ from loopalg.opers import (
     slope_certificate,
     _ctx,
 )
+from loopalg.ring import Poly, RatFunc
 from loopalg.rootdata import CartanType, build_root_datum, dual_root_datum
 
 INVARIANT_TYPES = ["A1", "A2", "A3", "A4", "C2", "G2"]
@@ -272,3 +274,69 @@ class TestCyclicOde:
         slopes = newton_slopes_at_infinity(ode["order"], ode["coefficients_raw"])
         assert slopes, "expected an irregular part"
         assert max(s for s, _ in slopes) == slope
+
+    def test_cartan_lines_only_have_no_cyclic_vector(self):
+        rd = dual_root_datum(rd_of("G2"))
+        h = 2 * rd.npos
+        op = Oper(rd, {h: LaurentPoly.t_power(-1, 3), h + 1: LaurentPoly.const(1)})
+        with pytest.raises(CyclicFailure):
+            cyclic_ode(op)
+
+    def test_later_start_vector(self):
+        """On the e-line alone, basis vector 0 is killed by A^T; vector 1 is cyclic."""
+        rd = dual_root_datum(rd_of("A1"))
+        op = Oper(rd, lvec_from_const(_ctx(rd).e, LaurentPoly.exact({-1: 2, 1: 1})))
+        ode = cyclic_ode(op)
+        assert ode["start_vector"] == 1 and ode["order"] == 2
+        assert ode["monic_coefficients"] == ["(0)/(1*z^0)", "(2*z^0 + -1*z^2)/(2*z^1 + 1*z^3)"]
+
+    def test_windowed_coefficient_rejected(self):
+        rd = dual_root_datum(rd_of("A1"))
+        op = Oper(rd, {0: LaurentPoly({0: 1}, 0, 3)})
+        with pytest.raises(MismatchError):
+            cyclic_ode(op)
+
+    @pytest.mark.parametrize("name", INVARIANT_TYPES)
+    @pytest.mark.parametrize("a", [Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(0)])
+    def test_operator_annihilates_the_start_functional(self, name, a):
+        """w_n + sum c_r w_r = 0, recomputed in plain RatFunc arithmetic."""
+        op = fg_connection(rd_of(name), a)
+        ode = cyclic_ode(op)
+        rd, n = op.rd, op.rd.rep_dim
+        zero = RatFunc.const(0)
+        at = [[zero] * n for _ in range(n)]
+        for idx, p in op.coeffs.items():
+            lo = min(0, min(p.coeffs))
+            num = Poly([p.coeffs.get(k, 0) for k in range(lo, max(p.coeffs) + 1)])
+            rf = RatFunc(num, Poly([0] * -lo + [1]))
+            for (i, j), c in rd.rep_matrix(idx).items():
+                at[j][i] = at[j][i] + rf.scale(c)
+        w = [RatFunc.const(1) if i == ode["start_vector"] else zero for i in range(n)]
+        acc = [zero] * n
+        for c in ode["coefficients_raw"] + [RatFunc.const(1)]:
+            acc = [s + c * x for s, x in zip(acc, w)]
+            w = [x.derivative() - sum((r * y for r, y in zip(at[i], w)), zero) for i, x in enumerate(w)]
+        assert ode["order"] == n
+        assert all(s.is_zero() for s in acc)
+
+
+class TestBeyondRankFive:
+    """Slope certificates and a scalar reduction past the invariant-supported ranks."""
+
+    @pytest.mark.parametrize("name,budget", [("B3", 5), ("C3", 5), ("D4", 5), ("C6", 10)])
+    def test_slope_certificate(self, name, budget):
+        t0 = time.time()
+        rd = rd_of(name)
+        cert = slope_certificate(fg_connection(rd, Fraction(1)))
+        elapsed = time.time() - t0
+        assert cert["status"] == "pass" and cert["regular_semisimple"] is True
+        assert cert["slope"] == f"1/{dual_root_datum(rd).coxeter_number}"
+        assert elapsed < budget, f"{name} slope certificate took {elapsed:.1f}s"
+
+    def test_d4_cyclic_ode(self):
+        t0 = time.time()
+        op = fg_connection(rd_of("D4"), Fraction(3, 5))
+        ode = cyclic_ode(op)
+        elapsed = time.time() - t0
+        assert ode["order"] == op.rd.rep_dim == 8
+        assert elapsed < 5, f"D4 cyclic ODE took {elapsed:.1f}s"

@@ -1,4 +1,5 @@
-"""Independent oracles: sympy's DomainMatrix charpoly against the packed kernel."""
+"""Independent oracles: sympy's DomainMatrix charpoly against the packed kernel,
+and sympy's diagonalizability and rank against the regular-semisimple test."""
 
 import random
 from fractions import Fraction
@@ -13,7 +14,12 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from loopalg import ring  # noqa: E402
 from loopalg.affine import iwahori, orthogonal_lattice  # noqa: E402
 from loopalg.hitchin import invariant_system, sample_orth_element  # noqa: E402
-from loopalg.rootdata import CartanType, build_root_datum  # noqa: E402
+from loopalg.rootdata import (  # noqa: E402
+    CartanType,
+    build_root_datum,
+    is_regular_semisimple,
+    principal_triple,
+)
 
 INVARIANT_TYPES = ["A1", "A2", "A3", "A4", "C2", "G2"]
 T = sympy.Symbol("t")
@@ -76,3 +82,55 @@ def test_charpoly_esym_matches_sympy_on_integer_matrices():
         cp = DomainMatrix(m, (n, n), ZZ).charpoly()
         want = [(-1) ** k * int(cp[k]) for k in range(1, kmax + 1)]
         assert ring.charpoly_esym(m, kmax) == want
+
+
+def _conjugate(rd, x, y):
+    """Ad(exp y) x for a nilpotent y: the series sum (ad y)^k x / k! terminates."""
+    out, term, k = list(x), list(x), 1
+    while any(term):
+        term = [c / k for c in rd.bracket(y, term)]
+        out = [a + b for a, b in zip(out, term)]
+        k += 1
+    return out
+
+
+def _random_conjugated_borel(rd, rng):
+    """A Borel element with a small integer (often singular) Cartan part,
+    moved off the Borel by a random lower unipotent, so its eigenvalues are
+    rational and sympy's eigenvector search stays fast."""
+    x, y = rd.zero_vec(), rd.zero_vec()
+    for i in range(rd.dim):
+        r = rd.line_root(i)
+        if r is None:
+            x[i] = Fraction(rng.randint(-2, 2))
+        elif sum(r) > 0:
+            x[i] = Fraction(rng.choice([0, 0, 1, -1, 2]), rng.choice([1, 2]))
+        else:
+            y[i] = Fraction(rng.choice([0, 0, 1, -1]))
+    return _conjugate(rd, x, y)
+
+
+def sympy_regular_semisimple(rd, x):
+    n = rd.rep_dim
+    rep = rd.rep_of_vec(x)
+    m = sympy.Matrix(n, n, lambda i, j: Rational(str(rep.get((i, j), 0))))
+    ad = DomainMatrix([[QQ(c.numerator, c.denominator) for c in row] for row in rd.ad_matrix(x)],
+                      (rd.dim, rd.dim), QQ)
+    return rd.dim - ad.rank() == rd.rank and m.is_diagonalizable()
+
+
+def test_regular_semisimple_matches_sympy():
+    answers = []
+    for name in ("A2", "C2", "G2", "B3"):
+        rd = build_root_datum(CartanType.parse(name))
+        rng = random.Random(f"sympy:rs:{name}")
+        e, h, f = principal_triple(rd).as_vecs()
+        xs = [e, h, [a + b for a, b in zip(e, h)]]
+        xs += [_random_conjugated_borel(rd, rng) for _ in range(16)]
+        if name == "A2":
+            xs.append(rd.basis_vec(2 * rd.npos))  # one simple coroot: semisimple, not regular
+        for x in xs:
+            want = sympy_regular_semisimple(rd, x)
+            assert is_regular_semisimple(rd, x) == want, (name, x)
+            answers.append(want)
+    assert answers.count(True) >= 10 and answers.count(False) >= 10
