@@ -170,15 +170,10 @@ def residue_pairing(rd: RootDatum, xi: TwistedElement, v: Vec, k: int) -> Fracti
         raise ValueError("pairing needs a form-degree-1 element")
     acc = Fraction(0)
     for idx, poly in xi.value.items():
-        opp = rd.opposite_line(idx)
-        if v[opp] == 0 and rd.line_root(idx) is not None:
-            continue
         coeff = poly.coeffs.get(-k)
-        if not coeff:
-            continue
-        basis = rd.basis_vec(idx)
-        uvec = [coeff * c for c in basis]
-        acc += rd.trace_pairing(uvec, v)
+        pair = coeff and rd.line_pairing(idx, v)
+        if pair:
+            acc += coeff * pair
     return acc
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: every construction and verification as a subcommand.
 
 Exit codes: 0 on pass, 1 on a violated check or mismatched golden file,
-2 on usage errors (including unsupported Cartan types).  All randomness is
+2 on usage errors (including unsupported Cartan types), 3 on an internal
+error (any other exception, reported as one line).  All randomness is
 derived from --seed, so reports are byte-identical across runs; when
 LOOPALG_GOLDEN_DIR is set, each report is compared against (or bootstraps)
 a golden file named after the subcommand and arguments.
@@ -424,6 +425,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except LoopAlgError as ex:
         sys.stderr.write(f"verification error: {type(ex).__name__}: {ex}\n")
         return 1
+    except Exception as ex:
+        sys.stderr.write(f"internal error: {type(ex).__name__}: {ex}\n")
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -551,20 +551,20 @@ class RootDatum:
                     out[key] = out.get(key, Fraction(0)) + c * val
         return {k: val for k, val in out.items() if val != 0}
 
+    def line_pairing(self, idx: int, v: Vec) -> Fraction:
+        """Trace form of basis line idx against v.  Its Gram matrix on lines is
+        sparse: root line i pairs only with its opposite line, through
+        pair_scalar[i]; Cartan line 2*npos + i through row i of cartan_gram."""
+        c = 2 * self.npos
+        if idx < c:
+            b = v[self.opposite_line(idx)]
+            return self.pair_scalar[idx] * b if b else b
+        return sum((g * b for g, b in zip(self.cartan_gram[idx - c], v[c:]) if b), Fraction(0))
+
     def trace_pairing(self, u: Vec, v: Vec) -> Fraction:
-        """Trace form of the defining rep on coefficient vectors."""
-        acc = Fraction(0)
-        for i in range(self.npos):
-            acc += self.pair_scalar[i] * (u[i] * v[self.npos + i] + u[self.npos + i] * v[i])
-        for i in range(self.rank):
-            a = u[2 * self.npos + i]
-            if a == 0:
-                continue
-            for j in range(self.rank):
-                b = v[2 * self.npos + j]
-                if b != 0:
-                    acc += self.cartan_gram[i][j] * a * b
-        return acc
+        """Trace form of the defining rep on coefficient vectors: by the sparse
+        Gram structure, the sum of u[i] * line_pairing(i, v) over u[i] != 0."""
+        return sum((a * self.line_pairing(i, v) for i, a in enumerate(u) if a), Fraction(0))
 
     # -- serialization ---------------------------------------------------------
 

@@ -21,6 +21,7 @@ from loopalg.affine import (
     residue_pairing,
 )
 from loopalg.errors import InvalidCoordinatesError, UnsupportedTwistedError
+from loopalg.hitchin import sample_orth_element
 from loopalg.laurent import LaurentPoly, TwistedElement
 from loopalg.ring import MultiPoly
 from loopalg.rootdata import CartanType, build_root_datum, is_regular_nilpotent
@@ -179,6 +180,45 @@ class TestOrthogonal:
             for extra in range(4)
         ]
         assert any(h != 0 for h in hits)
+
+
+def dense_residue_pairing(rd, xi, v, k):
+    """Reference residue pairing through the dense trace form: each line of xi
+    becomes a dense coefficient vector, paired over every root pair and the
+    whole Cartan block."""
+    acc = Fraction(0)
+    for idx, poly in xi.value.items():
+        opp = rd.opposite_line(idx)
+        if v[opp] == 0 and rd.line_root(idx) is not None:
+            continue
+        coeff = poly.coeffs.get(-k)
+        if not coeff:
+            continue
+        u = [coeff * c for c in rd.basis_vec(idx)]
+        for i in range(rd.npos):
+            acc += rd.pair_scalar[i] * (u[i] * v[rd.npos + i] + u[rd.npos + i] * v[i])
+        for i in range(rd.rank):
+            for j in range(rd.rank):
+                acc += rd.cartan_gram[i][j] * u[2 * rd.npos + i] * v[2 * rd.npos + j]
+    return acc
+
+
+@pytest.mark.parametrize("name", INVARIANT_TYPES)
+def test_residue_pairing_matches_dense_reference(name):
+    rd = rd_of(name)
+    p = iwahori(rd)
+    orth = orthogonal_lattice(p, 2)
+    rng = random.Random(f"dense-pairing:{name}")
+    nonzero = 0
+    for _ in range(8):
+        xi = sample_orth_element(p, orth, rng)
+        exps = sorted({e for q in xi.value.values() for e in q.coeffs})
+        for k in [-e for e in exps] + [-exps[0] + 1]:
+            v = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(rd.dim)]
+            got = residue_pairing(rd, xi, v, k)
+            assert got == dense_residue_pairing(rd, xi, v, k), (name, k)
+            nonzero += got != 0
+    assert nonzero >= 8
 
 
 class TestGrading:

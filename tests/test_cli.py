@@ -112,6 +112,17 @@ class TestExitCodes:
         xi = hitchin.sample_orth_element(p, orthogonal_lattice(p, 1), random.Random(report["seed"]))
         assert report["witness"] == {str(i): q.to_pairs() for i, q in xi.value.items()}
 
+    def test_internal_error_exits_3(self, monkeypatch, capsys):
+        from loopalg import cli
+
+        def broken(args):
+            raise RuntimeError("broken subcommand")
+
+        monkeypatch.setattr(cli, "cmd_degrees", broken)
+        assert cli.main(["degrees", "A2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "internal error: RuntimeError: broken subcommand\n"
+
     def test_verify_non_principal_exit_1(self):
         r = run_cli("verify", "surjectivity", "--type", "C2", "--kac", "0,1,0", "--trials", "2")
         assert r.returncode == 1
@@ -165,6 +176,37 @@ class TestWorkerPool:
         assert cli.cmd_verify(cli.build_parser().parse_args(argv + ["--jobs", str(jobs)])) == 0
         assert started == [workers]
         assert capsys.readouterr().out == serial
+
+    def test_failing_run_bytes_match_across_jobs(self, monkeypatch, capsys):
+        import multiprocessing
+
+        from loopalg import cli, hitchin
+
+        real = hitchin.hitchin_bounds
+        monkeypatch.setattr(hitchin, "hitchin_bounds", lambda p, n, degs: real(p, n - 10, degs))
+        # fork start, so the patched bounds reach the workers
+        fork = multiprocessing.get_context("fork")
+        started = []
+
+        def pool(processes):
+            started.append(processes)
+            return fork.Pool(processes)
+
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
+        argv = ["verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1",
+                "--samples", "6"]
+        runs = []
+        for jobs in ("1", "2"):
+            code = cli.cmd_verify(cli.build_parser().parse_args(argv + ["--jobs", jobs]))
+            runs.append((code, capsys.readouterr().out))
+        assert started == [2]
+        (code1, out1), (code2, out2) = runs
+        assert code1 == code2 == 1 and out1 == out2
+        serial, parallel = json.loads(out1), json.loads(out2)
+        assert serial["status"] == "fail" and serial["witness"]
+        assert serial["seed"] == parallel["seed"] and serial["witness"] == parallel["witness"]
 
     def test_cli_import_does_not_load_multiprocessing(self):
         code = "import sys, loopalg.cli; assert 'multiprocessing' not in sys.modules"

@@ -1,5 +1,7 @@
 """Independent oracles: sympy's DomainMatrix charpoly against the packed kernel,
-and sympy's diagonalizability and rank against the regular-semisimple test."""
+sympy's diagonalizability and rank against the regular-semisimple test, sympy's
+matrix trace against the sparse trace form, and sympy's polynomial division,
+gcd, rref and nullspace against the ring module."""
 
 import random
 from fractions import Fraction
@@ -110,10 +112,14 @@ def _random_conjugated_borel(rd, rng):
     return _conjugate(rd, x, y)
 
 
-def sympy_regular_semisimple(rd, x):
+def sympy_rep(rd, x):
     n = rd.rep_dim
     rep = rd.rep_of_vec(x)
-    m = sympy.Matrix(n, n, lambda i, j: Rational(str(rep.get((i, j), 0))))
+    return sympy.Matrix(n, n, lambda i, j: Rational(str(rep.get((i, j), 0))))
+
+
+def sympy_regular_semisimple(rd, x):
+    m = sympy_rep(rd, x)
     ad = DomainMatrix([[QQ(c.numerator, c.denominator) for c in row] for row in rd.ad_matrix(x)],
                       (rd.dim, rd.dim), QQ)
     return rd.dim - ad.rank() == rd.rank and m.is_diagonalizable()
@@ -134,3 +140,110 @@ def test_regular_semisimple_matches_sympy():
             assert is_regular_semisimple(rd, x) == want, (name, x)
             answers.append(want)
     assert answers.count(True) >= 10 and answers.count(False) >= 10
+
+
+TRACE_FORM_TYPES = INVARIANT_TYPES + ["B3", "C3", "D4"]
+
+
+def _rand_q(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+
+
+@pytest.mark.parametrize("name", TRACE_FORM_TYPES)
+def test_trace_pairing_matches_sympy_trace(name):
+    rd = build_root_datum(CartanType.parse(name))
+    rng = random.Random(f"sympy:trace:{name}")
+    for trial in range(6):
+        sparse = [_rand_q(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(rd.dim)]
+        u = rd.zero_vec() if trial == 0 else sparse
+        v = [_rand_q(rng) for _ in range(rd.dim)]
+        want = (sympy_rep(rd, u) * sympy_rep(rd, v)).trace()
+        got = rd.trace_pairing(u, v)
+        assert isinstance(got, Fraction)
+        assert got == Fraction(int(want.p), int(want.q)), (name, trial)
+
+
+def _to_fracs(sp):
+    """Coefficients of a sympy Poly over QQ, lowest degree first."""
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(sp.all_coeffs())]
+
+
+def _rand_poly(rng):
+    deg = rng.choice([-1, 0, 0, 1, 2, 3, 4, 5])
+    return ring.Poly([_rand_q(rng) for _ in range(deg + 1)])
+
+
+def _poly_pairs(rng, count):
+    x = ring.Poly.x()
+    pairs = [(ring.Poly([]), ring.Poly([3])), (ring.Poly([Fraction(2, 3)]), ring.Poly([]))]
+    for _ in range(count):
+        common = _rand_poly(rng)
+        a, b = _rand_poly(rng), _rand_poly(rng)
+        if rng.random() < 0.5 and not common.is_zero():
+            a, b = a * common, b * (common + x)
+        pairs.append((a, b))
+    return pairs
+
+
+def test_poly_divmod_and_gcd_match_sympy():
+    z = sympy.Symbol("z")
+    rng = random.Random("sympy:poly")
+    nontrivial = 0
+    for a, b in _poly_pairs(rng, 80):
+        sa = sympy.Poly(list(reversed(a.cs)) or [0], z, domain=QQ)
+        sb = sympy.Poly(list(reversed(b.cs)) or [0], z, domain=QQ)
+        g = a.gcd(b)
+        assert g.cs == ring.Poly(_to_fracs(sa.gcd(sb))).cs
+        nontrivial += g.degree() > 0
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.divmod(b)
+            continue
+        q, r = a.divmod(b)
+        sq, sr = sa.div(sb)
+        assert q.cs == ring.Poly(_to_fracs(sq)).cs and r.cs == ring.Poly(_to_fracs(sr)).cs
+    assert nontrivial >= 10
+
+
+def _rand_matrix(rng):
+    m, n = rng.randint(1, 5), rng.randint(1, 6)
+    if rng.random() < 0.1:
+        return [[Fraction(0)] * n for _ in range(m)]
+    rows = [[_rand_q(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.4:  # a dependent row lowers the rank
+        c = _rand_q(rng)
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1 % (m - 1)])]
+    return rows
+
+
+def _dm(rows, ncols):
+    return DomainMatrix([[QQ(c.numerator, c.denominator) for c in r] for r in rows],
+                        (len(rows), ncols), QQ)
+
+
+def _from_dm(dm):
+    return [[Fraction(int(c.numerator), int(c.denominator)) for c in row] for row in dm.to_list()]
+
+
+def test_row_reduce_and_kernel_match_domain_matrix():
+    rng = random.Random("sympy:linalg")
+    deficient = 0
+    for _ in range(80):
+        rows = _rand_matrix(rng)
+        n = len(rows[0])
+        dm = _dm(rows, n)
+        red, pivots = ring.row_reduce(rows)
+        want_red, want_pivots = dm.rref()
+        assert red == _from_dm(want_red) and pivots == list(want_pivots)
+        assert ring.rank(rows) == dm.rank()
+        deficient += dm.rank() < min(len(rows), n)
+        ker = ring.kernel_basis(rows)
+        want_ker = _from_dm(dm.nullspace()) if dm.rank() < n else []
+        assert len(ker) == len(want_ker) == n - dm.rank()
+        if ker:
+            # same span: both are independent and together still span n - rank dimensions
+            assert _dm(ker, n).rank() == len(ker)
+            assert _dm(ker + want_ker, n).rank() == len(ker)
+            assert all(c == 0 for row in _dm(rows, n).matmul(_dm(ker, n).transpose()).to_list()
+                       for c in row)
+    assert deficient >= 10
