@@ -28,6 +28,7 @@ from .errors import (
     NoCertificateError,
     SurjectivityFailure,
     UnsupportedTypeError,
+    UsageError,
 )
 from .hitchin import (
     hitchin_bounds,
@@ -67,8 +68,11 @@ def _emit(payload: dict, args, slug: str) -> int:
     text = _render(payload, getattr(args, "format", "json"))
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise UsageError(f"cannot write --output {out}: {ex.strerror}") from None
     else:
         sys.stdout.write(text)
     golden_dir = os.environ.get("LOOPALG_GOLDEN_DIR")
@@ -121,14 +125,17 @@ def _parse_kac(rd, text: Optional[str], default_iwahori: bool = False):
         if default_iwahori:
             return build_parahoric(rd, (1,) * (rd.rank + 1))
         raise InvalidCoordinatesError("missing --kac coordinates")
-    coords = tuple(int(c) for c in text.replace(" ", "").split(","))
+    try:
+        coords = tuple(int(c) for c in text.replace(" ", "").split(","))
+    except ValueError:
+        raise UsageError(f"--kac expects comma-separated integers, got {text!r}") from None
     return build_parahoric(rd, coords)
 
 
 def _parse_iwahori(rd, text: Optional[str], prop: str):
     p = _parse_kac(rd, text, default_iwahori=True)
     if not p.is_iwahori:
-        raise ValueError(f"{prop} is computed for the Iwahori only, got --kac {text}")
+        raise UsageError(f"{prop} is computed for the Iwahori only, got --kac {text}")
     return p
 
 
@@ -202,7 +209,7 @@ def cmd_verify(args) -> int:
         if prop == "size-of-image":
             p = _parse_kac(rd, args.kac)
             if args.n is None:
-                raise ValueError("size-of-image needs --n")
+                raise UsageError("size-of-image needs --n")
             sweep = functools.partial(
                 verify_containment, invariant_system(rd), p, args.n,
                 samples=args.samples, seed=args.seed,
@@ -419,7 +426,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedTypeError, InvalidCoordinatesError, ValueError) as ex:
+    except (UnsupportedTypeError, InvalidCoordinatesError, UsageError) as ex:
         sys.stderr.write(f"usage error: {ex}\n")
         return 2
     except LoopAlgError as ex:

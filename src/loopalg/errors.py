@@ -13,6 +13,10 @@ class InvalidCoordinatesError(LoopAlgError):
     """Alcove coordinates that do not describe a standard parahoric."""
 
 
+class UsageError(LoopAlgError):
+    """Command-line input that the requested computation does not accept."""
+
+
 class WindowUnderflowError(LoopAlgError):
     """A coefficient was requested outside the exactly-known window."""
 
@@ -47,7 +51,7 @@ class NotOperShapeError(LoopAlgError):
 
 
 class CyclicFailure(LoopAlgError):
-    """No basis vector is cyclic for the scalar reduction."""
+    """No start vector tried is cyclic for the scalar reduction."""
 
 
 class NoCertificateError(LoopAlgError):

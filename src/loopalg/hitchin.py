@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedTypeError,
     WindowUnderflowError,
 )
-from .laurent import LaurentPoly, OrderBound, TwistedElement
+from .laurent import INF, LaurentPoly, OrderBound, TwistedElement
 from .ring import MultiPoly
 from .rootdata import (
     Degrees,
@@ -153,6 +153,16 @@ class InvariantSystem:
         self.pbasis = centralizer_basis(rd, self.triple)
         self.generators = [("charpoly", d) for d in self.degrees]
         self.kostant = KostantData(rd, self.degrees, self.triple, self.pbasis)
+        # integer rep rows, read by invariant_values
+        self.rep_rows: List[Tuple[Tuple[int, int, int], ...]] = []
+        self.rep_norms: List[Tuple[Tuple[int, int], ...]] = []
+        for idx in range(rd.dim):
+            rows = tuple((i, j, c.numerator) for (i, j), c in rd.rep_matrix(idx).items())
+            norms: Dict[int, int] = {}
+            for i, _, c in rows:
+                norms[i] = norms.get(i, 0) + abs(c)
+            self.rep_rows.append(rows)
+            self.rep_norms.append(tuple(norms.items()))
 
     # -- evaluation -------------------------------------------------------
 
@@ -166,7 +176,10 @@ class InvariantSystem:
         and e_d is unpacked with balanced digits at offset d L, then divided by
         c^d.  The slot width w holds every coefficient: e_d is a sum of C(n, d)
         principal minors, each of l1-norm at most R^d for R >= 1 bounding the
-        row l1-norms of the matrix over Z[t].
+        row l1-norms of the matrix over Z[t].  Both loops read the defining rep
+        from the integer rep rows built once in ``__init__``: ``rep_rows[idx]``
+        holds the entries (i, j, c) of basis line idx and ``rep_norms[idx]``
+        its row l1-norms (i, sum_j |c|).
 
         Windowed input takes the same path on its known coefficients.  With H
         the least window hi and L_w the least window lo of xi's entries, a
@@ -194,15 +207,15 @@ class InvariantSystem:
         for idx, poly in xi.value.items():
             ints = {k - low: q.numerator * (den // q.denominator) for k, q in poly.coeffs.items()}
             size = sum(map(abs, ints.values()))
-            for (i, _), c in rd.rep_matrix(idx).items():
-                norms[i] += abs(c.numerator) * size
+            for i, r in self.rep_norms[idx]:
+                norms[i] += r * size
             cleared[idx] = ints
         w = ((1 << n) * max(1, max(norms)) ** kmax).bit_length() + 1
         entries = [[0] * n for _ in range(n)]
         for idx, ints in cleared.items():
             packed = sum(v << (w * k) for k, v in ints.items())
-            for (i, j), c in rd.rep_matrix(idx).items():
-                entries[i][j] += c.numerator * packed
+            for i, j, c in self.rep_rows[idx]:
+                entries[i][j] += c * packed
         es = ring.charpoly_esym(entries, kmax)
         exact = all(poly.is_exact for poly in polys)
         half, mask = 1 << (w - 1), (1 << w) - 1
@@ -219,7 +232,7 @@ class InvariantSystem:
                 value = (value - digit) >> w
                 k += 1
             if exact:
-                out.append(LaurentPoly.exact(coeffs))
+                out.append(LaurentPoly._of(coeffs, min(coeffs, default=0), INF))
             else:
                 low_w = min(poly.lo for poly in polys)
                 hi = min(poly.hi for poly in polys) + (d - 1) * low_w
@@ -271,7 +284,7 @@ def sample_orth_element(
                 if num:
                     coeffs[k] = Fraction(num, rng.choice((1, 1, 2, 3)))
         if coeffs:
-            value[idx] = LaurentPoly.exact(coeffs)
+            value[idx] = LaurentPoly._of(coeffs, min(coeffs), INF)
     return TwistedElement(value, rd.dim, 1)
 
 

@@ -24,7 +24,15 @@ def _q(x: QLike) -> Fraction:
 
 
 class LaurentPoly:
-    """Immutable truncated Laurent polynomial over Q."""
+    """Immutable truncated Laurent polynomial over Q.
+
+    ``coeffs`` maps int exponents to nonzero ``Fraction`` values, every key in
+    ``[lo, hi]``.  ``__init__`` enforces this on any input: it converts the
+    values, drops zeros and rejects keys outside the window.  The private
+    ``_of`` stores its dict as given, so it may only receive a dict that
+    already meets the contract; the producers that call it build their
+    coefficients clean.
+    """
 
     __slots__ = ("coeffs", "lo", "hi")
 
@@ -40,6 +48,15 @@ class LaurentPoly:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @classmethod
+    def _of(cls, coeffs: Dict[int, Fraction], lo: int, hi) -> "LaurentPoly":
+        """Wrap a dict that already meets the class contract, without copying it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        return self
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("LaurentPoly is immutable")
 
@@ -48,9 +65,8 @@ class LaurentPoly:
     @classmethod
     def exact(cls, coeffs: Dict[int, QLike]) -> "LaurentPoly":
         """Exactly known element; window extends to +oo."""
-        support = [k for k, v in coeffs.items() if _q(v) != 0]
-        lo = min(support) if support else 0
-        return cls(coeffs, lo, INF)
+        clean = {int(k): _q(v) for k, v in coeffs.items() if v}
+        return cls._of(clean, min(clean, default=0), INF)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -120,12 +136,11 @@ class LaurentPoly:
         hi = min(self.hi, other.hi)
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + v
-        coeffs = {k: v for k, v in coeffs.items() if k <= hi}
-        return LaurentPoly(coeffs, lo, hi)
+            coeffs[k] = coeffs[k] + v if k in coeffs else v
+        return LaurentPoly._of({k: v for k, v in coeffs.items() if v and k <= hi}, lo, hi)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -v for k, v in self.coeffs.items()}, self.lo, self.hi)
+        return LaurentPoly._of({k: -v for k, v in self.coeffs.items()}, self.lo, self.hi)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -134,7 +149,7 @@ class LaurentPoly:
         c = _q(c)
         if c == 0:
             return LaurentPoly.zero()
-        return LaurentPoly({k: c * v for k, v in self.coeffs.items()}, self.lo, self.hi)
+        return LaurentPoly._of({k: c * v for k, v in self.coeffs.items()}, self.lo, self.hi)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         # Product determined up to min(lo1+hi2, lo2+hi1): any higher exponent
@@ -146,8 +161,8 @@ class LaurentPoly:
             for j, b in other.coeffs.items():
                 k = i + j
                 if k <= hi:
-                    coeffs[k] = coeffs.get(k, Fraction(0)) + a * b
-        return LaurentPoly(coeffs, lo, hi)
+                    coeffs[k] = coeffs[k] + a * b if k in coeffs else a * b
+        return LaurentPoly._of({k: v for k, v in coeffs.items() if v}, lo, hi)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -160,12 +175,12 @@ class LaurentPoly:
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
         hi = self.hi if self.hi == INF else self.hi + k
-        return LaurentPoly({e + k: v for e, v in self.coeffs.items()}, self.lo + k, hi)
+        return LaurentPoly._of({e + k: v for e, v in self.coeffs.items()}, self.lo + k, hi)
 
     def derivative(self) -> "LaurentPoly":
         """Formal d/dt."""
         hi = self.hi if self.hi == INF else self.hi - 1
-        return LaurentPoly({k - 1: k * v for k, v in self.coeffs.items() if k != 0}, self.lo - 1, hi)
+        return LaurentPoly._of({k - 1: k * v for k, v in self.coeffs.items() if k != 0}, self.lo - 1, hi)
 
     # -- comparisons -------------------------------------------------------
 
@@ -234,7 +249,7 @@ def ramified_pullback(f: LaurentPoly, h: int) -> LaurentPoly:
     if h < 1:
         raise ValueError("cover degree must be a positive integer")
     hi = INF if f.hi == INF else h * f.hi + h - 1
-    return LaurentPoly({h * k: v for k, v in f.coeffs.items()}, h * f.lo, hi)
+    return LaurentPoly._of({h * k: v for k, v in f.coeffs.items()}, h * f.lo, hi)
 
 
 class TwistedElement:

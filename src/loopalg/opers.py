@@ -572,7 +572,11 @@ def cyclic_ode(op: Oper) -> dict:
     dual datum; starting from a basis vector, functionals are propagated by
     w -> w' - A^T w up to w_n.  The start is cyclic when w_0..w_{n-1} are
     independent over Q(z); then w_n + sum c_r w_r = 0 has exactly one
-    solution.  Start vectors are attempted in basis order.
+    solution.  Start vectors are attempted in basis order, then as
+    e_s + z e_k (k != s) in lexicographic (s, k) order: a residue that is
+    nilpotent of the wrong Jordan type, as for D4 at a = 0, leaves no
+    constant start cyclic.  The report names e_s as ``start_vector`` and,
+    for the second kind, e_k as ``start_twist``.
     """
     rd = op.rd
     n = rd.rep_dim
@@ -587,29 +591,37 @@ def cyclic_ode(op: Oper) -> dict:
     for (j, i), p in entries.items():
         if not p.known_zero():
             at[i].append((j, p))
-    for start in range(n):
-        coeffs = _cyclic_from(at, start, n)
+    zero, one, z = LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.t_power(1)
+    starts = [(s, None) for s in range(n)]
+    starts += [(s, k) for s in range(n) for k in range(n) if k != s]
+    for s, k in starts:
+        start = [one if i == s else z if i == k else zero for i in range(n)]
+        coeffs = _cyclic_from(at, start)
         if coeffs is not None:
-            return {
+            report = {
                 "proposition": "cyclic-ode",
                 "dual_type": rd.cartan.name,
-                "start_vector": start,
+                "start_vector": s,
                 "order": n,
                 "monic_coefficients": [f"({c.num})/({c.den})" for c in coeffs],
                 "coefficients_raw": coeffs,
                 "status": "pass",
             }
-    raise CyclicFailure("no basis vector is cyclic for this connection")
+            if k is not None:
+                report["start_twist"] = k
+            return report
+    raise CyclicFailure("no start vector e_s or e_s + z e_k is cyclic for this connection")
 
 
-def _cyclic_from(at: List[List[Tuple[int, LaurentPoly]]], start: int, n: int) -> Optional[List[RatFunc]]:
+def _cyclic_from(at: List[List[Tuple[int, LaurentPoly]]], start: List[LaurentPoly]) -> Optional[List[RatFunc]]:
     """c_0..c_{n-1} with w_n + sum c_r w_r = 0, or None if ``start`` is not cyclic.
 
     Column r = w_r is multiplied by z^{-m_r}, m_r its least exponent, so the
     system lies over Q[z] and one fraction-free solve decides it.
     """
+    n = len(start)
     zero = LaurentPoly.zero()
-    w = [LaurentPoly.one() if i == start else zero for i in range(n)]
+    w = start
     ws = [w]
     for _ in range(n):
         w = [w[i].derivative() - sum((p * w[j] for j, p in at[i]), zero) for i in range(n)]

@@ -61,9 +61,13 @@ class CartanType:
     @classmethod
     def parse(cls, name: str) -> "CartanType":
         name = name.strip()
-        if len(name) < 2 or not name[1:].isdigit():
+        try:
+            rank = int(name[1:]) if name[1:].isdigit() else None
+        except ValueError:  # digits int() does not read, such as superscripts
+            rank = None
+        if rank is None:
             raise UnsupportedTypeError(f"cannot parse Cartan type {name!r}")
-        return cls(name[0].upper(), int(name[1:]))
+        return cls(name[0].upper(), rank)
 
 
 def cartan_matrix(ct: CartanType) -> List[List[int]]:

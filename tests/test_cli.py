@@ -76,10 +76,15 @@ class TestExitCodes:
             ("fg", "A1", "1/0"),
             ("verify", "invariant-generator", "--type", "A2", "--kac", "1,0,0"),
             ("verify", "residue-diagram", "--type", "A2", "--kac", "1,0,0"),
+            ("kac", "A2", "--kac", "1,x,0"),
+            ("degrees", "A\u00b2"),
+            ("degrees", "A" + "1" * 5000),
+            ("fg", "A1", "1", "--output", os.path.join(HERE, "no-such-dir", "fg.json")),
         ],
         ids=["samples-0", "jobs-0", "trials-0", "size-of-image-no-n", "hitchin-image-no-n",
              "fg-zero-denominator", "invariant-generator-not-iwahori",
-             "residue-diagram-not-iwahori"],
+             "residue-diagram-not-iwahori", "kac-not-integer", "type-superscript-rank",
+             "type-rank-too-long", "output-unwritable"],
     )
     def test_usage_errors_exit_2(self, argv):
         r = run_cli(*argv)
@@ -122,6 +127,19 @@ class TestExitCodes:
         assert cli.main(["degrees", "A2"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == "internal error: RuntimeError: broken subcommand\n"
+
+    def test_library_value_error_is_internal(self, monkeypatch, capsys):
+        """Input errors are UsageError; a ValueError from a bug is not one."""
+        from loopalg import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug in the sweep")
+
+        monkeypatch.setattr(cli, "verify_containment", broken)
+        code = cli.main(["verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == "" and err == "internal error: ValueError: bug in the sweep\n"
 
     def test_verify_non_principal_exit_1(self):
         r = run_cli("verify", "surjectivity", "--type", "C2", "--kac", "0,1,0", "--trials", "2")

@@ -302,6 +302,19 @@ class TestCyclicOde:
         """w_n + sum c_r w_r = 0, recomputed in plain RatFunc arithmetic."""
         op = fg_connection(rd_of(name), a)
         ode = cyclic_ode(op)
+        assert "start_twist" not in ode
+        self._assert_annihilates(op, ode)
+
+    def test_tame_d4_starts_from_a_twisted_vector(self):
+        """At a = 0 the D4 residue is nilpotent of Jordan type (7, 1), so no
+        constant start is cyclic; e_0 + z e_3 is the first twisted one."""
+        op = fg_connection(rd_of("D4"), Fraction(0))
+        ode = cyclic_ode(op)
+        assert (ode["start_vector"], ode["start_twist"], ode["order"]) == (0, 3, 8)
+        self._assert_annihilates(op, ode)
+
+    @staticmethod
+    def _assert_annihilates(op, ode):
         rd, n = op.rd, op.rd.rep_dim
         zero = RatFunc.const(0)
         at = [[zero] * n for _ in range(n)]
@@ -312,6 +325,8 @@ class TestCyclicOde:
             for (i, j), c in rd.rep_matrix(idx).items():
                 at[j][i] = at[j][i] + rf.scale(c)
         w = [RatFunc.const(1) if i == ode["start_vector"] else zero for i in range(n)]
+        if "start_twist" in ode:
+            w[ode["start_twist"]] = RatFunc(Poly([0, 1]), Poly([1]))
         acc = [zero] * n
         for c in ode["coefficients_raw"] + [RatFunc.const(1)]:
             acc = [s + c * x for s, x in zip(acc, w)]
