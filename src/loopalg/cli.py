@@ -62,10 +62,8 @@ def _render(payload: dict, fmt: str) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(payload: dict, args, slug: str) -> int:
-    payload = dict(payload)
-    payload.setdefault("schema", f"loopalg/{slug.split('_')[0]}/{SCHEMA_VERSION}")
-    text = _render(payload, getattr(args, "format", "json"))
+def _write(text: str, args) -> None:
+    """The report goes to --output when it is given, else to stdout."""
     out = getattr(args, "output", None)
     if out:
         try:
@@ -75,6 +73,13 @@ def _emit(payload: dict, args, slug: str) -> int:
             raise UsageError(f"cannot write --output {out}: {ex.strerror}") from None
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, args, slug: str) -> int:
+    payload = dict(payload)
+    payload.setdefault("schema", f"loopalg/{slug.split('_')[0]}/{SCHEMA_VERSION}")
+    text = _render(payload, getattr(args, "format", "json"))
+    _write(text, args)
     golden_dir = os.environ.get("LOOPALG_GOLDEN_DIR")
     if golden_dir:
         os.makedirs(golden_dir, exist_ok=True)
@@ -268,7 +273,7 @@ def cmd_verify(args) -> int:
         if isinstance(ex, ContainmentViolation):
             failure["seed"] = ex.seed
             failure["witness"] = ex.witness
-        sys.stdout.write(_render(failure, args.format))
+        _write(_render(failure, args.format), args)
         return 1
     return _emit(payload, args, slug)
 
@@ -291,7 +296,7 @@ def cmd_fg(args) -> int:
             payload["slope_certificate"] = slope_certificate(op)
         except NoCertificateError as ex:
             payload["slope_certificate"] = {"status": "fail", "message": str(ex)}
-            sys.stdout.write(_render(payload, args.format))
+            _write(_render(payload, args.format), args)
             return 1
     else:
         payload["slope_certificate"] = None
@@ -376,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help=(
             "run a verification sweep: size-of-image (order-bound containment), "
-            "surjectivity (level-2 slice round trips), rs-image (level-1 fullness), "
+            "surjectivity (slice round trips, level 2 only), rs-image (level-1 fullness), "
             "residue-diagram (boundary square up to a recorded scalar), global-oper "
             "(one-dimensional two-point space), invariant-generator (torus monomial)"
         ),

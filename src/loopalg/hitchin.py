@@ -35,6 +35,7 @@ from .errors import (
     MismatchError,
     SurjectivityFailure,
     UnsupportedTypeError,
+    UsageError,
     WindowUnderflowError,
 )
 from .laurent import INF, LaurentPoly, OrderBound, TwistedElement
@@ -423,13 +424,17 @@ def section_from_cover(
 def verify_surjectivity(
     inv: InvariantSystem, p: Parahoric, n: int = 2, trials: int = 25, seed: int = 0
 ) -> dict:
-    """Round-trip surjectivity onto the bounded image at level n.
+    """Round-trip surjectivity onto the bounded image at level n, level 2 only.
 
     Every trial draws a random point of the bounded image, reconstructs an
     element of the dual lattice through the graded slice on the m-fold
     cover, and checks lattice membership plus the exact round trip; the
-    boundary pole order of every component must be attained.
+    boundary pole order of every component must be attained.  The slice
+    construction lands in the dual lattice only at n = 2, so any other level
+    is a ``UsageError``, not a failed check.
     """
+    if n != 2:
+        raise UsageError(f"surjectivity is certified at level 2 only, got n = {n}")
     rd, m = inv.rd, p.m
     if not is_principal(p):
         raise SurjectivityFailure(

@@ -127,6 +127,7 @@ class _DualContext:
         self.rho = [c / 2 for c in h]  # pairing ht(beta) with every root line
         self.f_lines = {i for i, c in enumerate(f) if c != 0}
         self.theta_line = rd_dual.line_index[("e", rd_dual.theta)]
+        self.solvers = _borel_solvers(self)
 
 
 _CTX: Dict[str, _DualContext] = {}
@@ -305,10 +306,16 @@ def gauge_reduce(op: Oper) -> Oper:
     return out
 
 
-def _reduce_borel_tail(ctx: _DualContext, A: LVec) -> LVec:
+def _borel_solvers(ctx: _DualContext) -> List[Tuple[List[int], List[int], List[Vec]]]:
+    """Per principal weight w, in increasing order: the lines of weight w, the
+    positive root lines of weight w + 2, and the first len(lines_up) rows of
+    the inverse of [ad f on those lines | centralizer basis of weight w],
+    which give the gauge coefficients that clear the weight-w tail.  Weights
+    with no line above them are left out: their tail is centralizer-valued.
+    """
     rd = ctx.rd
     weights = sorted({2 * _line_ht(rd, i) for i in range(rd.dim) if _line_ht(rd, i) >= 0})
-    solvers = {}
+    solvers = []
     for w in weights:
         lines_w = [i for i in range(rd.dim) if _line_ht(rd, i) >= 0 and 2 * _line_ht(rd, i) == w
                    and (rd.line_root(i) is not None or w == 0)]
@@ -323,34 +330,29 @@ def _reduce_borel_tail(ctx: _DualContext, A: LVec) -> LVec:
             cols.append([p[i] for i in lines_w])
         if not lines_w:
             continue
-        square = [[cols[c][r] for c in range(len(cols))] for r in range(len(lines_w))]
-        if len(cols) != len(lines_w) or ring.rank(square) != len(lines_w):
+        if len(cols) != len(lines_w):
             raise MismatchError("principal weight decomposition is not square")
-        inv = _invert(square)
-        solvers[w] = (lines_w, lines_up, len(lines_up), inv)
-    for w in weights:
-        if w not in solvers:
-            continue
-        lines_w, lines_up, nup, inv = solvers[w]
-        if nup == 0:
-            continue
+        inv = _invert([[cols[c][r] for c in range(len(cols))] for r in range(len(lines_w))])
+        if lines_up:
+            solvers.append((lines_w, lines_up, inv[:len(lines_up)]))
+    return solvers
+
+
+def _reduce_borel_tail(ctx: _DualContext, A: LVec) -> LVec:
+    for lines_w, lines_up, rows in ctx.solvers:
         rvec = [A.get(i, LaurentPoly.zero()) for i in lines_w]
         if all(p.known_zero() for p in rvec):
             continue
-        xcoefs = []
-        for row in inv[:nup]:
+        x: LVec = {}
+        for j, row in zip(lines_up, rows):
             acc = LaurentPoly.zero()
             for c, p in zip(row, rvec):
                 if c != 0:
                     acc = acc + p.scale(c)
-            xcoefs.append(acc)
-        x: LVec = {}
-        for j, poly in zip(lines_up, xcoefs):
-            if not poly.known_zero():
-                x[j] = poly
-        if not x:
-            continue
-        A = gauge_by_exp(rd, A, x)
+            if not acc.known_zero():
+                x[j] = acc
+        if x:
+            A = gauge_by_exp(ctx.rd, A, x)
     return A
 
 

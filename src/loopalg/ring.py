@@ -1,8 +1,12 @@
 """Small exact-arithmetic helpers: generic characteristic polynomials,
-multivariate polynomials over Q, and univariate rational functions.
+multivariate polynomials over Q, univariate rational functions, and exact
+linear algebra.
 
 Everything here is coefficient-exact; ring elements only need ``+``, ``-``,
-``*`` and ``.scale(Fraction)``.
+``*`` and ``.scale(Fraction)``.  Linear algebra over Q and Q(z) runs over the
+integers: ``row_reduce`` clears rows to Z and eliminates fraction-free,
+keeping rows primitive, and ``bareiss_solve`` clears rows to Z[z] and runs
+Bareiss elimination on Kronecker-packed ints.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -327,35 +332,78 @@ class RatFunc:
         return f"({self.num})/({self.den})"
 
 
-# -- exact linear algebra over Q ---------------------------------------------
+# -- exact linear algebra over Q, computed over Z ------------------------------
+
+
+def _integer_echelon(rows: List[List[Fraction]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan: (primitive integer rows, pivot columns).
+
+    Each row is cleared by the lcm of its denominators and divided by its
+    content, which keeps the row space.  Eliminating column c of row i
+    against pivot row r replaces row i by (p/g) row_i - (f/g) row_r with p
+    the pivot, f = row_i[c] and g = gcd(p, f), again divided by its content:
+    every row stays primitive, so entries grow no further than the row space
+    forces.  Pivot row k carries its pivot at column pivots[k] and zeros at
+    every other pivot column; the rows after the last pivot row are zero.
+    """
+    a = []
+    for row in rows:
+        den = 1
+        for x in row:
+            den = lcm(den, x.denominator)
+        a.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    pivots: List[int] = []
+    r = 0
+    ncols = len(a[0]) if a else 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        p = prow[col]
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != r:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                a[i] = _primitive([pg * x - fg * y for x, y in zip(row, prow)])
+        pivots.append(col)
+        r += 1
+        if r == len(a):
+            break
+    return a, pivots
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """row divided by its content (the gcd of its entries)."""
+    c = gcd(*row)
+    return [x // c for x in row] if c > 1 else row
+
+
+_ZERO = Fraction(0)
 
 
 def row_reduce(rows: List[List[Fraction]]):
-    """In-place fraction Gaussian elimination; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    """Reduced row echelon form over Q; returns (rows, pivot columns).
+
+    The elimination runs over Z (``_integer_echelon``); each pivot row is
+    divided by its pivot only at the end.  The reduced form is unique, so
+    the rows are those of Gaussian elimination over Q.
+    """
+    a, pivots = _integer_echelon(rows)
+    out = []
+    for k, row in enumerate(a):
+        if k < len(pivots):
+            p = row[pivots[k]]
+            out.append([Fraction(x, p) if x else _ZERO for x in row])
+        else:
+            out.append([_ZERO] * len(row))
+    return out, pivots
 
 
 def rank(rows: List[List[Fraction]]) -> int:
-    return len(row_reduce(rows)[1])
+    return len(_integer_echelon(rows)[1])
 
 
 def kernel_basis(rows: List[List[Fraction]]) -> List[List[Fraction]]:
@@ -393,19 +441,11 @@ def solve_linear(rows: List[List[Fraction]], rhs: List[Fraction]):
 
 def primitive_integer_vector(vec: List[Fraction]) -> List[int]:
     """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-    from math import gcd
-
     dens = [c.denominator for c in vec if c != 0]
     if not dens:
         return [0] * len(vec)
-    L = 1
-    for d in dens:
-        L = L * d // gcd(L, d)
-    ints = [int(c * L) for c in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
+    den = lcm(*dens)
+    ints = _primitive([int(c * den) for c in vec])
     lead = next(v for v in ints if v != 0)
     if lead < 0:
         ints = [-v for v in ints]
@@ -415,16 +455,35 @@ def primitive_integer_vector(vec: List[Fraction]) -> List[int]:
 def bareiss_solve(aug: List[List[Poly]]) -> Optional[Tuple[List[Poly], Poly]]:
     """Solve M y = b over Q(z) for an n x (n+1) matrix [M | b] over Q[z].
 
-    Fraction-free Gauss-Jordan (Bareiss): step k replaces each entry off
-    row k by (p_k a_ij - a_ik a_kj) / p_{k-1}, an exact polynomial division,
-    so every entry stays in Q[z].  Returns (d y, d) with d = +-det M, or None
-    when det M = 0.
+    Each row of [M | b] is cleared to Z[z] by the lcm of its coefficient
+    denominators, and each entry is Kronecker-packed (z -> 2^w) into one int.
+    Fraction-free Gauss-Jordan (Bareiss) then runs on those ints: step k
+    replaces each entry off row k by (p_k a_ij - a_ik a_kj) / p_{k-1}, a
+    division that is exact in Z[z], hence on the packed ints (z -> 2^w is a
+    ring homomorphism).  Every entry it keeps is +- a minor of the cleared
+    matrix, whose coefficient l1-norm is at most prod max(1, R_i) with R_i
+    the coefficient l1-norm of row i; w leaves one spare bit above that
+    bound and one for the sign, so packing is injective on every entry (the
+    zero-pivot test is exact) and balanced digits unpack d y and d.
+    Returns (d y, d) with d a nonzero multiple of det M, or None when
+    det M = 0.
     """
-    a = [list(r) for r in aug]
+    rows = []
+    bound = 1
+    for entries in aug:
+        den = 1
+        for p in entries:
+            for c in p.cs:
+                den = lcm(den, c.denominator)
+        row = [[c.numerator * (den // c.denominator) for c in p.cs] for p in entries]
+        bound *= max(1, sum(abs(c) for cs in row for c in cs))
+        rows.append(row)
+    w = bound.bit_length() + 2
+    a = [[sum(c << (w * k) for k, c in enumerate(cs)) for cs in row] for row in rows]
     n = len(a)
-    prev = Poly.const(1)
+    prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             return None
         a[k], a[piv] = a[piv], a[k]
@@ -434,12 +493,26 @@ def bareiss_solve(aug: List[List[Poly]]) -> Optional[Tuple[List[Poly], Poly]]:
                 continue
             aik, row = a[i][k], a[i]
             for j in range(k + 1, n + 1):
-                q, r = (pk * row[j] - aik * row_k[j]).divmod(prev)
-                if not r.is_zero():
+                q, r = divmod(pk * row[j] - aik * row_k[j], prev)
+                if r:
                     raise ArithmeticError("inexact Bareiss division")
                 row[j] = q
         prev = pk
-    return [row[n] for row in a], prev
+    return [Poly(_unpack(row[n], w)) for row in a], Poly(_unpack(prev, w))
+
+
+def _unpack(value: int, w: int) -> List[int]:
+    """Coefficients, lowest first, of a polynomial packed at z = 2^w with
+    every coefficient of absolute value below 2^(w-1) (balanced digits)."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    cs = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << w
+        cs.append(digit)
+        value = (value - digit) >> w
+    return cs
 
 
 def ratfunc_row_reduce(rows: List[List[RatFunc]]) -> List[List[RatFunc]]:

@@ -657,7 +657,7 @@ def principal_triple(rd: RootDatum) -> PrincipalTriple:
         raise MismatchError("principal triple fails the h relations")
     if rd.bracket(e, f) != h:
         raise MismatchError("principal triple fails [e, f] = h")
-    if len(ring.kernel_basis(rd.ad_matrix(e))) != l:
+    if rd.dim - ring.rank(rd.ad_matrix(e)) != l:
         raise MismatchError("principal e is not regular nilpotent")
     triple = PrincipalTriple(tuple(e), tuple(h), tuple(f))
     rd._triple_cache = triple
@@ -748,7 +748,7 @@ def is_regular_semisimple(rd: RootDatum, x: Sequence[Fraction]) -> bool:
     neither answer; p comes from ``ring.charpoly_esym`` and s(M) from
     Horner's rule over the integers.
     """
-    if len(ring.kernel_basis(rd.ad_matrix(list(x)))) != rd.rank:
+    if rd.dim - ring.rank(rd.ad_matrix(list(x))) != rd.rank:
         return False
     rep = rd.rep_of_vec(list(x))
     den = 1
@@ -782,4 +782,4 @@ def is_nilpotent(rd: RootDatum, x: Sequence[Fraction]) -> bool:
 def is_regular_nilpotent(rd: RootDatum, x: Sequence[Fraction]) -> bool:
     if not is_nilpotent(rd, list(x)):
         return False
-    return len(ring.kernel_basis(rd.ad_matrix(list(x)))) == rd.rank
+    return rd.dim - ring.rank(rd.ad_matrix(list(x))) == rd.rank

@@ -80,11 +80,16 @@ class TestExitCodes:
             ("degrees", "A\u00b2"),
             ("degrees", "A" + "1" * 5000),
             ("fg", "A1", "1", "--output", os.path.join(HERE, "no-such-dir", "fg.json")),
+            ("verify", "surjectivity", "--type", "A1", "--n", "0"),
+            ("verify", "surjectivity", "--type", "A2", "--n", "3"),
+            ("verify", "surjectivity", "--type", "C2", "--kac", "0,1,0", "--trials", "2",
+             "--output", os.path.join(HERE, "no-such-dir", "fail.json")),
         ],
         ids=["samples-0", "jobs-0", "trials-0", "size-of-image-no-n", "hitchin-image-no-n",
              "fg-zero-denominator", "invariant-generator-not-iwahori",
              "residue-diagram-not-iwahori", "kac-not-integer", "type-superscript-rank",
-             "type-rank-too-long", "output-unwritable"],
+             "type-rank-too-long", "output-unwritable", "surjectivity-level-0",
+             "surjectivity-level-3", "fail-output-unwritable"],
     )
     def test_usage_errors_exit_2(self, argv):
         r = run_cli(*argv)
@@ -116,6 +121,52 @@ class TestExitCodes:
         p = iwahori(rd)
         xi = hitchin.sample_orth_element(p, orthogonal_lattice(p, 1), random.Random(report["seed"]))
         assert report["witness"] == {str(i): q.to_pairs() for i, q in xi.value.items()}
+
+    def test_containment_failure_goes_to_output(self, monkeypatch, capsys, tmp_path):
+        from loopalg import cli, hitchin
+
+        real = hitchin.hitchin_bounds
+        monkeypatch.setattr(hitchin, "hitchin_bounds", lambda p, n, degs: real(p, n - 10, degs))
+        monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
+        argv = ["verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1",
+                "--samples", "3", "--seed", "6"]
+        assert cli.main(argv) == 1
+        printed = capsys.readouterr().out
+        out = tmp_path / "fail.json"
+        assert cli.main(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+        report = json.loads(printed)
+        assert report["status"] == "fail" and report["seed"].startswith("6:") and report["witness"]
+
+    def test_non_principal_failure_goes_to_output(self, monkeypatch, capsys, tmp_path):
+        from loopalg import cli
+
+        monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
+        argv = ["verify", "surjectivity", "--type", "C2", "--kac", "0,1,0", "--trials", "2"]
+        assert cli.main(argv) == 1
+        printed = capsys.readouterr().out
+        out = tmp_path / "fail.json"
+        assert cli.main(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+        assert json.loads(printed)["error"] == "SurjectivityFailure"
+
+    def test_missing_slope_certificate_goes_to_output(self, monkeypatch, capsys, tmp_path):
+        from loopalg import cli
+        from loopalg.errors import NoCertificateError
+
+        def no_certificate(op):
+            raise NoCertificateError("no gauge exponent worked")
+
+        monkeypatch.setattr(cli, "slope_certificate", no_certificate)
+        monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
+        out = tmp_path / "fg.json"
+        assert cli.main(["fg", "A1", "1", "--output", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        report = json.loads(out.read_text())
+        assert report["slope_certificate"] == {"status": "fail",
+                                               "message": "no gauge exponent worked"}
 
     def test_internal_error_exits_3(self, monkeypatch, capsys):
         from loopalg import cli

@@ -1,5 +1,7 @@
 """Normal forms, the rigid connection, and its local certificates."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -18,6 +20,7 @@ from loopalg.opers import (
     gauge_reduce,
     global_hitchin_base,
     global_oper_space,
+    infinity_slice_form,
     irregularity_at_infinity,
     lvec_from_const,
     make_oper,
@@ -355,3 +358,36 @@ class TestBeyondRankFive:
         elapsed = time.time() - t0
         assert ode["order"] == op.rd.rep_dim == 8
         assert elapsed < 5, f"D4 cyclic ODE took {elapsed:.1f}s"
+
+
+# sha256 of the certificates below, recorded before the exact linear algebra
+# moved from Fraction to integer elimination; any change to a certified value
+# or to its printed form changes it.
+CERTIFICATE_DIGEST = "caad4ffe24e41373d7a631085d73258071724f05d1fa43294606adb456fb4cf1"
+
+
+def test_certificates_are_pinned():
+    """Slope certificate, local checks, slice form at infinity and cyclic ODE
+    of f/z + a e_theta for nine types and three a, plus the twisted D4 and D5
+    starts at a = 0, hashed as one sorted-keys JSON dump."""
+    out = {}
+    for name in ("A1", "A2", "A3", "A4", "B3", "C2", "C3", "D4", "G2"):
+        rd = rd_of(name)
+        for a in (Fraction(1), Fraction(-2), Fraction(3, 5)):
+            op = fg_connection(rd, a)
+            ode = cyclic_ode(op)
+            ode.pop("coefficients_raw")
+            out[f"{name} a={a}"] = {
+                "slope": slope_certificate(op),
+                "residue_rs": check_residue_rs(op),
+                "irregular_type": check_irregular_type(op),
+                "infinity": {str(i): p.to_pairs()
+                             for i, p in sorted(infinity_slice_form(op).coeffs.items())},
+                "ode": ode,
+            }
+    for name in ("D4", "D5"):
+        ode = cyclic_ode(fg_connection(rd_of(name), Fraction(0)))
+        ode.pop("coefficients_raw")
+        out[f"{name} a=0"] = {"ode": ode}
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == CERTIFICATE_DIGEST

@@ -1,8 +1,9 @@
 """Independent oracles: sympy's DomainMatrix charpoly against the packed kernel,
 sympy's diagonalizability and rank against the regular-semisimple test, sympy's
 matrix trace against the sparse trace form, and sympy's polynomial division,
-gcd, rref and nullspace against the ring module."""
+gcd, rref, nullspace and solve over QQ(z) against the ring module."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from loopalg.rootdata import (  # noqa: E402
 
 INVARIANT_TYPES = ["A1", "A2", "A3", "A4", "C2", "G2"]
 T = sympy.Symbol("t")
+Z = sympy.Symbol("z")
 QQT = QQ[T]
 
 
@@ -225,11 +227,41 @@ def _from_dm(dm):
     return [[Fraction(int(c.numerator), int(c.denominator)) for c in row] for row in dm.to_list()]
 
 
-def test_row_reduce_and_kernel_match_domain_matrix():
+def _big_matrix(rng):
+    """Numerators up to 10^6 over pairwise coprime denominators, one per row."""
+    m, n = rng.randint(2, 7), rng.randint(2, 8)
+    dens = rng.sample([1, 7, 11, 13, 17, 19, 23, 29, 31, 37], m)
+    rows = [[Fraction(rng.randint(-10 ** 6, 10 ** 6), d) if rng.random() < 0.8 else Fraction(0)
+             for _ in range(n)] for d in dens]
+    if rng.random() < 0.4:
+        c = Fraction(rng.randint(1, 10 ** 6), rng.choice((3, 41, 43)))
+        rows[-1] = [a - c * b for a, b in zip(rows[0], rows[1 % (m - 1)])]
+    return rows
+
+
+def _ad_matrices():
+    """ad of e, h, e + f and a random rational element for A4, G2 and B3."""
+    rng = random.Random("sympy:ad")
+    for name in ("A4", "G2", "B3"):
+        rd = build_root_datum(CartanType.parse(name))
+        e, h, f = principal_triple(rd).as_vecs()
+        x = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(rd.dim)]
+        for v in (e, h, [a + b for a, b in zip(e, f)], x):
+            yield rd.ad_matrix(v)
+
+
+def _linalg_inputs():
     rng = random.Random("sympy:linalg")
-    deficient = 0
     for _ in range(80):
-        rows = _rand_matrix(rng)
+        yield _rand_matrix(rng)
+    yield from _ad_matrices()
+    for _ in range(30):
+        yield _big_matrix(rng)
+
+
+def test_row_reduce_and_kernel_match_domain_matrix():
+    deficient = 0
+    for rows in _linalg_inputs():
         n = len(rows[0])
         dm = _dm(rows, n)
         red, pivots = ring.row_reduce(rows)
@@ -246,4 +278,73 @@ def test_row_reduce_and_kernel_match_domain_matrix():
             assert _dm(ker + want_ker, n).rank() == len(ker)
             assert all(c == 0 for row in _dm(rows, n).matmul(_dm(ker, n).transpose()).to_list()
                        for c in row)
+        # the integer elimination behind row_reduce keeps every row primitive
+        ints, int_pivots = ring._integer_echelon(rows)
+        assert int_pivots == pivots
+        assert all(math.gcd(*row) == 1 for row in ints if any(row))
     assert deficient >= 10
+
+
+def _poly_sympy(p):
+    return sum((Rational(c.numerator, c.denominator) * Z ** k for k, c in enumerate(p.cs)),
+               sympy.Integer(0))
+
+
+def _rand_qz(rng, den):
+    """A polynomial over Q of degree <= 3, each coefficient over ``den``; a
+    quarter of the entries are zero and some coefficients are near 10^6."""
+    if rng.random() < 0.25:
+        return ring.Poly([])
+    big = rng.random() < 0.2
+    return ring.Poly([Fraction(rng.randint(-10 ** 6, 10 ** 6) if big else rng.randint(-9, 9), den)
+                      for _ in range(rng.randint(1, 4))])
+
+
+def _bareiss_systems(rng):
+    """n x (n+1) systems over Q[z] with a different denominator per row."""
+    z = ring.Poly.x()
+    # single dominant entries, where the slot-width bound is nearly attained
+    yield [[ring.Poly([10 ** 6 - 1]), ring.Poly([1])]]
+    yield [[ring.Poly([0, 0, -(10 ** 6)]), ring.Poly([3, 0, 1])]]
+    yield [[ring.Poly([0] * i + [10 ** 6 - 7 * i] if i == j else []) for j in range(3)]
+           + [ring.Poly([1, -1])] for i in range(3)]
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        dens = rng.sample([1, 2, 3, 5, 7, 11, 13, 17], n)
+        rows = [[_rand_qz(rng, d) for _ in range(n + 1)] for d in dens]
+        if trial % 4 == 0 and n > 1:  # singular: one row is a Q[z]-combination of two others
+            p, q = _rand_qz(rng, 1), z + ring.Poly([rng.randint(-3, 3)])
+            rows[-1] = [a * p + b * q for a, b in zip(rows[0], rows[1 % (n - 1)])]
+        elif trial % 4 == 1 and n > 1:  # singular: a zero column
+            k = rng.randrange(n)
+            for row in rows:
+                row[k] = ring.Poly([])
+        yield rows
+
+
+def test_bareiss_solve_matches_sympy():
+    """y = (d y)/d against sympy's solve over QQ(z), and M (d y) = d b exactly."""
+    field = QQ.frac_field(Z)
+    rng = random.Random("sympy:bareiss")
+    singular = 0
+    for aug in _bareiss_systems(rng):
+        n = len(aug)
+        dm = DomainMatrix([[field.from_sympy(_poly_sympy(p)) for p in row] for row in aug],
+                          (n, n + 1), field)
+        red, pivots = dm.rref()
+        got = ring.bareiss_solve(aug)
+        if pivots[:n] != tuple(range(n)):
+            assert got is None
+            singular += 1
+            continue
+        ys, d = got
+        assert not d.is_zero()
+        for i, y in enumerate(ys):
+            assert field.from_sympy(_poly_sympy(y)) / field.from_sympy(_poly_sympy(d)) \
+                == red.to_list()[i][n]
+        for row in aug:
+            acc = ring.Poly([])
+            for p, y in zip(row, ys):
+                acc = acc + p * y
+            assert acc == row[n] * d
+    assert singular >= 10
