@@ -33,20 +33,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-@dataclass(frozen=True)
-class AffineRoot:
-    """Real affine root: finite part plus level, as an affine function."""
-
-    finite_part: Optional[Root]
-    level: int
-
-    def evaluate(self, p: "Parahoric") -> Fraction:
-        base = Fraction(self.level)
-        if self.finite_part is not None:
-            base += Fraction(p.eta_weight_root(self.finite_part), p.m)
-        return base
-
-
 class Parahoric:
     """Standard parahoric given by alcove coordinates s_i in {0, 1}."""
 

@@ -18,7 +18,11 @@ class UsageError(LoopAlgError):
 
 
 class WindowUnderflowError(LoopAlgError):
-    """A coefficient was requested outside the exactly-known window."""
+    """Never raised: Laurent elements are exact and carry no truncation window.
+
+    The class stays defined because the benchmark's tracer and its tests look
+    it up by name; it goes with the next benchmark revision.
+    """
 
 
 class MismatchError(LoopAlgError):

@@ -36,9 +36,8 @@ from .errors import (
     SurjectivityFailure,
     UnsupportedTypeError,
     UsageError,
-    WindowUnderflowError,
 )
-from .laurent import INF, LaurentPoly, OrderBound, TwistedElement
+from .laurent import LaurentPoly, OrderBound, TwistedElement
 from .ring import MultiPoly
 from .rootdata import (
     Degrees,
@@ -68,13 +67,6 @@ class HitchinValue:
             v = c.val()
             out.append(None if v is None else d - v)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, HitchinValue):
-            return NotImplemented
-        return self.degrees == other.degrees and all(
-            a.agrees_with(b) for a, b in zip(self.components, other.components)
-        )
 
 
 @dataclass
@@ -181,11 +173,6 @@ class InvariantSystem:
         from the integer rep rows built once in ``__init__``: ``rep_rows[idx]``
         holds the entries (i, j, c) of basis line idx and ``rep_norms[idx]``
         its row l1-norms (i, sum_j |c|).
-
-        Windowed input takes the same path on its known coefficients.  With H
-        the least window hi and L_w the least window lo of xi's entries, a
-        monomial of e_d that touches an unknown tail has t-order above
-        H + (d-1) L_w, so e_d is known exactly through that exponent.
         """
         if isinstance(vec_or_xi, TwistedElement):
             xi = vec_or_xi
@@ -218,7 +205,6 @@ class InvariantSystem:
             for i, j, c in self.rep_rows[idx]:
                 entries[i][j] += c * packed
         es = ring.charpoly_esym(entries, kmax)
-        exact = all(poly.is_exact for poly in polys)
         half, mask = 1 << (w - 1), (1 << w) - 1
         out = []
         for d in self.degrees:
@@ -232,12 +218,7 @@ class InvariantSystem:
                     coeffs[k] = Fraction(digit, scale)
                 value = (value - digit) >> w
                 k += 1
-            if exact:
-                out.append(LaurentPoly._of(coeffs, min(coeffs, default=0), INF))
-            else:
-                low_w = min(poly.lo for poly in polys)
-                hi = min(poly.hi for poly in polys) + (d - 1) * low_w
-                out.append(LaurentPoly({e: v for e, v in coeffs.items() if e <= hi}, d * low_w, hi))
+            out.append(LaurentPoly._of(coeffs))
         return out
 
     def invariants_at_point(self, v: Vec) -> List[Fraction]:
@@ -270,36 +251,39 @@ def hitchin_bounds(p: Parahoric, n: int, degrees: Optional[Sequence[int]] = None
     return HitchinImage(bounds, degs, n, p.m)
 
 
-def sample_orth_element(
-    p: Parahoric, orth: MPLattice, rng: random.Random, depth: int = 3, density: float = 0.75
-) -> TwistedElement:
-    """Random lattice element: coefficients at the `depth` lowest admitted orders."""
+# A sampled lattice element draws each of its SAMPLE_DEPTH lowest admitted
+# coefficients of a line with probability SAMPLE_DENSITY.
+SAMPLE_DEPTH = 3
+SAMPLE_DENSITY = 0.75
+
+
+def sample_orth_element(p: Parahoric, orth: MPLattice, rng: random.Random) -> TwistedElement:
+    """Random lattice element: coefficients at the SAMPLE_DEPTH lowest admitted orders."""
     rd = p.rd
     value = {}
     for idx in range(rd.dim):
         o = orth.order_fn[idx]
         coeffs = {}
-        for k in range(o, o + depth):
-            if rng.random() < density:
+        for k in range(o, o + SAMPLE_DEPTH):
+            if rng.random() < SAMPLE_DENSITY:
                 num = rng.randint(-9, 9)
                 if num:
                     coeffs[k] = Fraction(num, rng.choice((1, 1, 2, 3)))
         if coeffs:
-            value[idx] = LaurentPoly._of(coeffs, min(coeffs), INF)
+            value[idx] = LaurentPoly._of(coeffs)
     return TwistedElement(value, rd.dim, 1)
 
 
 def _sample_orders(
-    inv: InvariantSystem, p: Parahoric, orth: MPLattice, seed: int, depth: int, s: int
+    inv: InvariantSystem, p: Parahoric, orth: MPLattice, seed: int, s: int
 ) -> List[Optional[int]]:
     """t-orders of the Hitchin components of sample s (None for a zero component)."""
-    xi = sample_orth_element(p, orth, random.Random(f"{seed}:{s}"), depth=depth)
+    xi = sample_orth_element(p, orth, random.Random(f"{seed}:{s}"))
     return [comp.val() for comp in chevalley_map(inv, xi).components]
 
 
 def verify_containment(
-    inv: InvariantSystem, p: Parahoric, n: int, samples: int = 100, seed: int = 0, depth: int = 3,
-    map=map,
+    inv: InvariantSystem, p: Parahoric, n: int, samples: int = 100, seed: int = 0, map=map,
 ) -> dict:
     """Sample the dual lattice and check the image against the pole bounds.
 
@@ -311,13 +295,13 @@ def verify_containment(
     orth = orthogonal_lattice(p, n)
     min_val = [None] * len(inv.degrees)
     floors = [d - b for d, b in zip(inv.degrees, image.bounds)]
-    orders = map(functools.partial(_sample_orders, inv, p, orth, seed, depth), range(samples))
+    orders = map(functools.partial(_sample_orders, inv, p, orth, seed), range(samples))
     for s, vals in enumerate(orders):
         for i, v in enumerate(vals):
             if v is None:
                 continue
             if v < floors[i]:
-                xi = sample_orth_element(p, orth, random.Random(f"{seed}:{s}"), depth=depth)
+                xi = sample_orth_element(p, orth, random.Random(f"{seed}:{s}"))
                 raise ContainmentViolation(
                     f"component {i} of sample {s} has t-order {v} < {floors[i]} "
                     f"({rd.cartan.name}, coords {p.kac_coords}, n={n}, seed={seed})",
@@ -337,7 +321,7 @@ def verify_containment(
         "m": p.m,
         "samples": samples,
         "seed": seed,
-        "depth": depth,
+        "depth": SAMPLE_DEPTH,
         "degrees": list(inv.degrees),
         "bounds": list(image.bounds),
         "max_orders": max_orders,
@@ -408,14 +392,12 @@ def section_from_cover(
                 if (uexp - w) % m != 0:
                     raise MismatchError("cover element does not descend: grading mismatch")
                 tcoeffs[(uexp - w) // m] = coeff * c
-            poly = LaurentPoly.exact(tcoeffs)
+            poly = LaurentPoly(tcoeffs)
             out[idx] = out.get(idx, LaurentPoly.zero()) + poly
 
     add_u_term(list(kd.triple.f), {-1: Fraction(1, m)})
     for i, (b, pvec) in enumerate(zip(bs, kd.pbasis)):
         d = inv.degrees[i]
-        if not b.is_exact:
-            raise WindowUnderflowError("section needs exactly known slice coordinates")
         uexps = {m * k + d - 1: v / m for k, v in b.coeffs.items()}
         add_u_term(pvec, uexps)
     return TwistedElement(out, rd.dim, 1)
@@ -455,7 +437,7 @@ def verify_surjectivity(
                 num = rng.randint(-9, 9)
                 if num or (off == 0 and trial < len(degs) and i == trial):
                     coeffs[floors[i] + off] = Fraction(num if num else 1)
-            values.append(LaurentPoly.exact(coeffs))
+            values.append(LaurentPoly(coeffs))
         xi = section_from_cover(inv, p, n, values, data=kd)
         if not orth.contains(xi):
             raise SurjectivityFailure(
@@ -463,7 +445,7 @@ def verify_surjectivity(
             )
         got = chevalley_map(inv, xi)
         for i, want in enumerate(values):
-            if not got.components[i].agrees_with(want):
+            if got.components[i] != want:
                 raise SurjectivityFailure(
                     f"round trip failed on component {i} ({rd.cartan.name}, trial {trial})"
                 )

@@ -45,7 +45,7 @@ def lvec_add(rd: RootDatum, a: LVec, b: LVec) -> LVec:
     out = dict(a)
     for i, p in b.items():
         out[i] = out.get(i, LaurentPoly.zero()) + p
-    return {i: p for i, p in out.items() if not (p.is_exact and p.known_zero())}
+    return {i: p for i, p in out.items() if not p.is_zero()}
 
 def lvec_scale(a: LVec, c: Fraction) -> LVec:
     return {i: p.scale(c) for i, p in a.items()} if c != 0 else {}
@@ -64,13 +64,13 @@ def lvec_bracket(rd: RootDatum, a: LVec, b: LVec) -> LVec:
             prod = pa * pb
             for k, c in entry.items():
                 out[k] = out.get(k, LaurentPoly.zero()) + prod.scale(c)
-    return {k: p for k, p in out.items() if not (p.is_exact and p.known_zero())}
+    return {k: p for k, p in out.items() if not p.is_zero()}
 
 def lvec_derivative(a: LVec) -> LVec:
     return {i: p.derivative() for i, p in a.items()}
 
 def lvec_is_zero(a: LVec) -> bool:
-    return all(p.is_exact and p.known_zero() for p in a.values())
+    return all(p.is_zero() for p in a.values())
 
 
 @dataclass
@@ -162,11 +162,11 @@ def _decompose_centralizer(ctx: _DualContext, tail: LVec) -> Optional[List[Laure
         for i in support[1:]:
             expect = vi.scale(pvec[i])
             got = tail.get(i, LaurentPoly.zero())
-            if not (got - expect).known_zero():
+            if got != expect:
                 return None
         comps.append(vi)
     for i, p in tail.items():
-        if i not in used and not p.known_zero():
+        if i not in used and not p.is_zero():
             return None
     return comps
 
@@ -194,10 +194,10 @@ def _detect_shape(ctx: _DualContext, coeffs: LVec) -> str:
             r = rd.line_root(i)
             if r is None or sum(r) < 0:
                 want = fpoly.scale(ctx.f[i]) if r is not None else zero
-                if not (p - want).known_zero():
+                if p != want:
                     ok = False
                     break
-            elif not p.known_zero():
+            elif not p.is_zero():
                 tail[i] = p
         if ok and _decompose_centralizer(ctx, tail) is not None:
             return cand
@@ -223,7 +223,7 @@ def oper_components(op: Oper) -> List[LaurentPoly]:
     tail = dict(op.coeffs)
     for i in ctx.f_lines:
         tail[i] = tail.get(i, LaurentPoly.zero()) - fpoly.scale(ctx.f[i])
-    tail = {i: p for i, p in tail.items() if not p.known_zero()}
+    tail = {i: p for i, p in tail.items() if not p.is_zero()}
     comps = _decompose_centralizer(ctx, tail)
     if comps is None:
         raise NotOperShapeError("connection is not in a canonical shape")
@@ -294,7 +294,7 @@ def gauge_reduce(op: Oper) -> Oper:
         r = rd.line_root(i)
         if r is not None and sum(r) < 0:
             want = LaurentPoly.const(ctx.f[i])
-            if not (A.get(i, zero) - want).known_zero():
+            if A.get(i, zero) != want:
                 raise NotOperShapeError("negative part of the connection is not exactly f")
     A = _reduce_borel_tail(ctx, A)
     comps = _decompose_centralizer(
@@ -341,7 +341,7 @@ def _borel_solvers(ctx: _DualContext) -> List[Tuple[List[int], List[int], List[V
 def _reduce_borel_tail(ctx: _DualContext, A: LVec) -> LVec:
     for lines_w, lines_up, rows in ctx.solvers:
         rvec = [A.get(i, LaurentPoly.zero()) for i in lines_w]
-        if all(p.known_zero() for p in rvec):
+        if all(p.is_zero() for p in rvec):
             continue
         x: LVec = {}
         for j, row in zip(lines_up, rows):
@@ -349,7 +349,7 @@ def _reduce_borel_tail(ctx: _DualContext, A: LVec) -> LVec:
             for c, p in zip(row, rvec):
                 if c != 0:
                     acc = acc + p.scale(c)
-            if not acc.known_zero():
+            if not acc.is_zero():
                 x[j] = acc
         if x:
             A = gauge_by_exp(ctx.rd, A, x)
@@ -387,13 +387,9 @@ def check_residue_rs(op: Oper) -> bool:
 
 def at_infinity(op: Oper) -> LVec:
     """Connection matrix against dt at infinity, t = 1/z."""
-    out: LVec = {}
-    for i, p in op.coeffs.items():
-        if not p.is_exact:
-            raise MismatchError("infinity analysis needs exactly known coefficients")
-        flipped = LaurentPoly.exact({-k - 2: -c for k, c in p.coeffs.items()})
-        out[i] = flipped
-    return out
+    return {
+        i: LaurentPoly._of({-k - 2: -c for k, c in p.coeffs.items()}) for i, p in op.coeffs.items()
+    }
 
 
 def infinity_slice_form(op: Oper) -> Oper:
@@ -418,7 +414,12 @@ def check_irregular_type(op: Oper) -> bool:
     return True
 
 
-def global_oper_space(rd_input: RootDatum, degree_window: int = 3) -> dict:
+# The global oper ansatz takes each component's z-exponents in [-K, K] with
+# K = ANSATZ_MARGIN + the largest fundamental degree.
+ANSATZ_MARGIN = 3
+
+
+def global_oper_space(rd_input: RootDatum) -> dict:
     """Solutions of the two-point conditions among f/z + v(z), v Laurent.
 
     Sets up the exact linear system: regularity of the centralizer
@@ -429,7 +430,7 @@ def global_oper_space(rd_input: RootDatum, degree_window: int = 3) -> dict:
     ctx = _ctx(rd)
     degs = ctx.degrees
     l = len(degs)
-    K = degree_window + max(degs)
+    K = ANSATZ_MARGIN + max(degs)
     exps = list(range(-K, K + 1))
     ncols = l * len(exps)
     rows = []
@@ -515,9 +516,9 @@ def slope_certificate(op: Oper, search_range: Optional[int] = None) -> dict:
         raise NotOperShapeError("slope certificate expects the global shape f/z + v")
     comps = oper_components(op)
     a = comps[-1]
-    if a.known_zero():
+    if a.is_zero():
         raise ValueError("tame connection (a = 0) carries no irregular slope certificate")
-    if any(not c.known_zero() for c in comps[:-1]) or set(a.coeffs) != {0}:
+    if any(not c.is_zero() for c in comps[:-1]) or set(a.coeffs) != {0}:
         raise NotOperShapeError("slope certificate expects f/z + a e_theta with a != 0")
     B = at_infinity(op)
     # dt/t-normalized matrix pulled back along t = u^h
@@ -528,7 +529,7 @@ def slope_certificate(op: Oper, search_range: Optional[int] = None) -> dict:
     tried = []
     for c in sorted(range(-rng, rng + 1), key=lambda v: (abs(v), -v)):
         Mc = cocharacter_gauge(rd, M0, Fraction(1), c, ctx.rho, normalized=True)
-        Mc = {i: p for i, p in Mc.items() if not p.known_zero()}
+        Mc = {i: p for i, p in Mc.items() if not p.is_zero()}
         vals = [p.val() for p in Mc.values() if p.val() is not None]
         if not vals or min(vals) != -1:
             tried.append(c)
@@ -582,8 +583,6 @@ def cyclic_ode(op: Oper) -> dict:
     """
     rd = op.rd
     n = rd.rep_dim
-    if not all(p.is_exact for p in op.coeffs.values()):
-        raise MismatchError("scalar reduction needs exactly known coefficients")
     entries: Dict[Tuple[int, int], LaurentPoly] = {}
     for idx, poly in op.coeffs.items():
         for key, c in rd.rep_matrix(idx).items():
@@ -591,7 +590,7 @@ def cyclic_ode(op: Oper) -> dict:
     # A^T row by row: at[i] lists (j, A[j][i]) for the nonzero entries
     at: List[List[Tuple[int, LaurentPoly]]] = [[] for _ in range(n)]
     for (j, i), p in entries.items():
-        if not p.known_zero():
+        if not p.is_zero():
             at[i].append((j, p))
     zero, one, z = LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.t_power(1)
     starts = [(s, None) for s in range(n)]

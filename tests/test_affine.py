@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 
 from loopalg.affine import (
-    AffineRoot,
     build_parahoric,
     dual_lattice,
     graded_principal_triple,
@@ -60,14 +59,6 @@ class TestParahoric:
             build_parahoric(rd, (2, 0, 0))
         with pytest.raises(InvalidCoordinatesError):
             build_parahoric(rd, (1, 0))
-
-    def test_affine_root_values(self):
-        rd = rd_of("A1")
-        p = iwahori(rd)
-        alpha = AffineRoot(rd.simple_roots[0], 0)
-        alpha0 = AffineRoot(tuple(-c for c in rd.theta), 1)
-        assert alpha.evaluate(p) == Fraction(1, 2)
-        assert alpha0.evaluate(p) == Fraction(1, 2)
 
 
 class TestMoyPrasad:

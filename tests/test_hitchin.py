@@ -77,7 +77,7 @@ class TestInvariantSystem:
             # Laurent ring as Q[s]
             xi = TwistedElement(
                 {
-                    i: LaurentPoly.exact({0: y[i], 1: xy[i]})
+                    i: LaurentPoly({0: y[i], 1: xy[i]})
                     for i in range(rd.dim)
                     if y[i] != 0 or xy[i] != 0
                 },
@@ -112,7 +112,7 @@ class TestInvariantSystem:
             # directional derivative via the s-linear part
             xi = TwistedElement(
                 {
-                    i: LaurentPoly.exact({0: yvec[i], 1: Fraction(1 if i == direction else 0)})
+                    i: LaurentPoly({0: yvec[i], 1: Fraction(1 if i == direction else 0)})
                     for i in range(rd.dim)
                     if yvec[i] != 0 or i == direction
                 },
@@ -128,7 +128,7 @@ class TestInvariantSystem:
         inv = invariant_system(rd)
         e = list(principal_triple(rd).e)
         val = chevalley_map(inv, const_element(rd, e))
-        assert all(c.known_zero() for c in val.components)
+        assert all(c.is_zero() for c in val.components)
 
     def test_a1_cartan_value(self):
         rd = rd_of("A1")
@@ -156,7 +156,7 @@ class TestInvariantSystem:
                     es = ring.charpoly_esym(laurent_matrix(rd, xi), max(inv.degrees))
                     got = inv.invariant_values(xi)
                     for d, comp in zip(inv.degrees, got):
-                        assert comp.is_exact and comp.coeffs == es[d - 1].coeffs
+                        assert comp == es[d - 1]
 
     def test_sample_stream_is_pinned(self):
         """sha256 of the first 20 draws of the containment stream (seed 7) on the
@@ -173,18 +173,6 @@ class TestInvariantSystem:
                         pairs = {idx: poly.to_pairs() for idx, poly in sorted(xi.value.items())}
                         digest.update(json.dumps(pairs, sort_keys=True).encode())
         assert digest.hexdigest() == "1a002a264036510dbc7f34b7615bc8b64f1ca8976317c47fa73a443c4baa6c7c"
-
-    def test_window_underflow_propagates(self):
-        from loopalg.errors import WindowUnderflowError
-
-        rd = rd_of("A1")
-        inv = invariant_system(rd)
-        h_idx = 2 * rd.npos
-        xi = TwistedElement({h_idx: LaurentPoly({1: 1}, 0, 1)}, rd.dim, 1)
-        comp = chevalley_map(inv, xi).components[0]
-        # the quadratic value sits at t^2, outside the certified window
-        with pytest.raises(WindowUnderflowError):
-            comp.val()
 
     def test_a2_cyclic_element_order(self):
         rd = rd_of("A2")
@@ -281,7 +269,7 @@ class TestContainment:
             for i in range(rd.dim):
                 r = rd.line_root(i)
                 if r is not None and sum(r) > 0 and rng.random() < 0.8:
-                    x[i] = LaurentPoly.exact(
+                    x[i] = LaurentPoly(
                         {k: Fraction(rng.randint(-3, 3)) for k in range(0, 3)}
                     )
             cur = dict(xi.value)
@@ -290,7 +278,7 @@ class TestContainment:
             for k in range(1, 12):
                 cur = lvec_bracket(rd, x, cur)
                 fact *= k
-                if all(q.known_zero() for q in cur.values()):
+                if all(q.is_zero() for q in cur.values()):
                     break
                 for i, q in cur.items():
                     acc[i] = acc.get(i, LaurentPoly.zero()) + q.scale(Fraction(1, fact))
@@ -307,14 +295,14 @@ class TestKostant:
         inv = invariant_system(rd)
         rng = random.Random(f"kostant:{name}")
         values = [
-            LaurentPoly.exact({k: Fraction(rng.randint(-5, 5), rng.choice([1, 2]))
+            LaurentPoly({k: Fraction(rng.randint(-5, 5), rng.choice([1, 2]))
                                for k in range(-1, 2)})
             for _ in inv.degrees
         ]
         xi = kostant_section(inv, values)
         got = chevalley_map(inv, xi)
         for want, have in zip(values, got.components):
-            assert have.agrees_with(want)
+            assert have == want
 
     def test_zero_gives_nilpotent_slice_point(self):
         rd = rd_of("A2")
@@ -323,7 +311,7 @@ class TestKostant:
         f = list(principal_triple(rd).f)
         assert xi == const_element(rd, f)
         got = chevalley_map(inv, xi)
-        assert all(c.known_zero() for c in got.components)
+        assert all(c.is_zero() for c in got.components)
 
     def test_a1_linear_normalization(self):
         rd = rd_of("A1")

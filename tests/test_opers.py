@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopalg.errors import CyclicFailure, MismatchError, NotOperShapeError
+from loopalg.errors import CyclicFailure, NotOperShapeError
 from loopalg.laurent import LaurentPoly
 from loopalg.opers import (
     Oper,
@@ -67,7 +67,7 @@ class TestFgConnection:
         op = fg_connection(rd_of("A1"), Fraction(0))
         assert op.canonical and op.shape == "global"
         comps = oper_components(op)
-        assert all(c.known_zero() for c in comps)
+        assert all(c.is_zero() for c in comps)
 
 
 class TestGaugeReduce:
@@ -80,7 +80,7 @@ class TestGaugeReduce:
         for i in range(rd.dim):
             r = rd.line_root(i)
             if (r is None or sum(r) > 0) and rng.random() < 0.8:
-                coeffs[i] = LaurentPoly.exact(
+                coeffs[i] = LaurentPoly(
                     {k: Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for k in range(-1, 3)}
                 )
         op = Oper(rd, coeffs)
@@ -90,29 +90,29 @@ class TestGaugeReduce:
         for i in range(rd.dim):
             r = rd.line_root(i)
             if r is not None and sum(r) > 0 and rng.random() < 0.7:
-                x[i] = LaurentPoly.exact({k: Fraction(rng.randint(-3, 3)) for k in range(-1, 2)})
+                x[i] = LaurentPoly({k: Fraction(rng.randint(-3, 3)) for k in range(-1, 2)})
         redg = gauge_reduce(Oper(rd, gauge_by_exp(rd, coeffs, x)))
         keys = set(red.coeffs) | set(redg.coeffs)
-        assert all((redg.component_of(i) - red.component_of(i)).known_zero() for i in keys)
+        assert all((redg.component_of(i) - red.component_of(i)).is_zero() for i in keys)
 
     def test_already_canonical_unchanged(self):
         rd = dual_root_datum(rd_of("A2"))
         ctx = _ctx(rd)
         coeffs = dict(lvec_from_const(ctx.f))
-        coeffs[ctx.theta_line] = LaurentPoly.exact({0: Fraction(2), 1: Fraction(1)})
+        coeffs[ctx.theta_line] = LaurentPoly({0: Fraction(2), 1: Fraction(1)})
         op = Oper(rd, coeffs)
         red = gauge_reduce(op)
-        assert red.coeffs == {i: p for i, p in coeffs.items() if not p.known_zero()}
+        assert red.coeffs == {i: p for i, p in coeffs.items() if not p.is_zero()}
 
     def test_a1_explicit(self):
         rd = dual_root_datum(rd_of("A1"))
         ctx = _ctx(rd)
         coeffs = dict(lvec_from_const(ctx.f))
         h_idx = 2 * rd.npos
-        coeffs[h_idx] = LaurentPoly.exact({0: Fraction(1)})
+        coeffs[h_idx] = LaurentPoly({0: Fraction(1)})
         red = gauge_reduce(Oper(rd, coeffs))
         comps = oper_components(red)
-        assert red.component_of(h_idx).known_zero()
+        assert red.component_of(h_idx).is_zero()
         assert len(comps) == 1
 
     def test_wrong_f_part_rejected(self):
@@ -131,7 +131,7 @@ class TestGaugeReduce:
         for i in range(rd.dim):
             r = rd.line_root(i)
             if (r is None or sum(r) > 0) and rng.random() < 0.9:
-                coeffs[i] = LaurentPoly.exact({k: Fraction(rng.randint(-3, 3)) for k in range(0, 3)})
+                coeffs[i] = LaurentPoly({k: Fraction(rng.randint(-3, 3)) for k in range(0, 3)})
         red = gauge_reduce(Oper(rd, coeffs))
         from loopalg.opers import lvec_bracket
 
@@ -139,7 +139,7 @@ class TestGaugeReduce:
         for i in ctx.f_lines:
             tail[i] = tail.get(i, LaurentPoly.zero()) - LaurentPoly.const(ctx.f[i])
         br = lvec_bracket(rd, lvec_from_const(ctx.e), tail)
-        assert all(p.known_zero() for p in br.values())
+        assert all(p.is_zero() for p in br.values())
 
 
 class TestLocalConditions:
@@ -288,16 +288,10 @@ class TestCyclicOde:
     def test_later_start_vector(self):
         """On the e-line alone, basis vector 0 is killed by A^T; vector 1 is cyclic."""
         rd = dual_root_datum(rd_of("A1"))
-        op = Oper(rd, lvec_from_const(_ctx(rd).e, LaurentPoly.exact({-1: 2, 1: 1})))
+        op = Oper(rd, lvec_from_const(_ctx(rd).e, LaurentPoly({-1: 2, 1: 1})))
         ode = cyclic_ode(op)
         assert ode["start_vector"] == 1 and ode["order"] == 2
         assert ode["monic_coefficients"] == ["(0)/(1*z^0)", "(2*z^0 + -1*z^2)/(2*z^1 + 1*z^3)"]
-
-    def test_windowed_coefficient_rejected(self):
-        rd = dual_root_datum(rd_of("A1"))
-        op = Oper(rd, {0: LaurentPoly({0: 1}, 0, 3)})
-        with pytest.raises(MismatchError):
-            cyclic_ode(op)
 
     @pytest.mark.parametrize("name", INVARIANT_TYPES)
     @pytest.mark.parametrize("a", [Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(0)])
