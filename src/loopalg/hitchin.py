@@ -132,6 +132,12 @@ class KostantData:
         return bs
 
 
+def _lowest_slot(v: int, w: int) -> int:
+    """Lowest nonzero slot k0 of v = sum_k c_k 2^(w k), |c_k| < 2^(w-1), v != 0: the
+    trailing zero count tz of v satisfies w k0 <= tz <= w k0 + w - 2."""
+    return ((v & -v).bit_length() - 1) // w
+
+
 class InvariantSystem:
     """Defining representation plus one invariant generator per degree."""
 
@@ -146,7 +152,8 @@ class InvariantSystem:
         self.pbasis = centralizer_basis(rd, self.triple)
         self.generators = [("charpoly", d) for d in self.degrees]
         self.kostant = KostantData(rd, self.degrees, self.triple, self.pbasis)
-        # integer rep rows, read by invariant_values
+        # integer rep rows: rep_rows[idx] holds the entries (i, j, c) of line idx,
+        # rep_norms[idx] its row l1-norms (i, sum_j |c|)
         self.rep_rows: List[Tuple[Tuple[int, int, int], ...]] = []
         self.rep_norms: List[Tuple[Tuple[int, int], ...]] = []
         for idx in range(rd.dim):
@@ -159,20 +166,36 @@ class InvariantSystem:
 
     # -- evaluation -------------------------------------------------------
 
+    def _packed_esym(self, cleared: Dict[int, Dict[int, int]]) -> Tuple[List[int], int]:
+        """e_1..e_kmax, packed by t -> 2^w, and w, for the matrix over Z[t] whose
+        line idx has the int coefficients ``cleared[idx]`` at exponents k >= 0.
+        Each coefficient c of e_d has |c| < 2^(w-1): e_d is a sum of C(n, d) principal
+        minors, each of l1-norm at most R^d for R >= 1 bounding the row l1-norms."""
+        n = self.rd.rep_dim
+        kmax = max(self.degrees)
+        norms = [0] * n
+        for idx, ints in cleared.items():
+            size = sum(map(abs, ints.values()))
+            for i, r in self.rep_norms[idx]:
+                norms[i] += r * size
+        w = ((1 << n) * max(1, max(norms)) ** kmax).bit_length() + 1
+        entries = [[0] * n for _ in range(n)]
+        for idx, ints in cleared.items():
+            packed = sum(v << (w * k) for k, v in ints.items())
+            for i, j, c in self.rep_rows[idx]:
+                entries[i][j] += c * packed
+        return ring.charpoly_esym(entries, kmax), w
+
     def invariant_values(self, vec_or_xi) -> List[LaurentPoly]:
         """e_d of the defining representation, one per fundamental degree.
 
         With c the lcm of the coefficient denominators and L the least exponent
         present, c t^-L xi has a matrix over Z[t] (the defining rep is integral,
-        checked when it is built).  Kronecker substitution t -> 2^w packs each
-        entry into one int, ``ring.charpoly_esym`` runs on the packed matrix,
-        and e_d is unpacked with balanced digits at offset d L, then divided by
-        c^d.  The slot width w holds every coefficient: e_d is a sum of C(n, d)
-        principal minors, each of l1-norm at most R^d for R >= 1 bounding the
-        row l1-norms of the matrix over Z[t].  Both loops read the defining rep
-        from the integer rep rows built once in ``__init__``: ``rep_rows[idx]``
-        holds the entries (i, j, c) of basis line idx and ``rep_norms[idx]``
-        its row l1-norms (i, sum_j |c|).
+        checked when it is built).  The shared packed step ``_packed_esym`` runs
+        the charpoly kernel on it, and each e_d is unpacked with balanced digits
+        at offset d L, then divided by c^d.  ``valuations`` runs the same step on
+        a sampler draw and reads only each t-order, from the trailing zeros of
+        the packed e_d, without unpacking it.
         """
         if isinstance(vec_or_xi, TwistedElement):
             xi = vec_or_xi
@@ -187,24 +210,10 @@ class InvariantSystem:
             for q in poly.coeffs.values():
                 den = math.lcm(den, q.denominator)
         low = min((k for poly in polys for k in poly.coeffs), default=0)
-        rd = self.rd
-        n = rd.rep_dim
-        kmax = max(self.degrees)
-        cleared = {}
-        norms = [0] * n
-        for idx, poly in xi.value.items():
-            ints = {k - low: q.numerator * (den // q.denominator) for k, q in poly.coeffs.items()}
-            size = sum(map(abs, ints.values()))
-            for i, r in self.rep_norms[idx]:
-                norms[i] += r * size
-            cleared[idx] = ints
-        w = ((1 << n) * max(1, max(norms)) ** kmax).bit_length() + 1
-        entries = [[0] * n for _ in range(n)]
-        for idx, ints in cleared.items():
-            packed = sum(v << (w * k) for k, v in ints.items())
-            for i, j, c in self.rep_rows[idx]:
-                entries[i][j] += c * packed
-        es = ring.charpoly_esym(entries, kmax)
+        es, w = self._packed_esym({
+            idx: {k - low: q.numerator * (den // q.denominator) for k, q in poly.coeffs.items()}
+            for idx, poly in xi.value.items()
+        })
         half, mask = 1 << (w - 1), (1 << w) - 1
         out = []
         for d in self.degrees:
@@ -220,6 +229,17 @@ class InvariantSystem:
                 k += 1
             out.append(LaurentPoly._of(coeffs))
         return out
+
+    def valuations(self, draw: Dict[int, Dict[int, Tuple[int, int]]]) -> List[Optional[int]]:
+        """t-order of each e_d (None for zero) at a ``_draw`` result, cleared as in
+        ``invariant_values``: d L plus the lowest nonzero slot of the packed e_d."""
+        den = math.lcm(*{q for coeffs in draw.values() for _, q in coeffs.values()})
+        low = min((k for coeffs in draw.values() for k in coeffs), default=0)
+        es, w = self._packed_esym({
+            idx: {k - low: num * (den // q) for k, (num, q) in coeffs.items()}
+            for idx, coeffs in draw.items()
+        })
+        return [d * low + _lowest_slot(es[d - 1], w) if es[d - 1] else None for d in self.degrees]
 
     def invariants_at_point(self, v: Vec) -> List[Fraction]:
         vals = self.invariant_values(v)
@@ -257,29 +277,43 @@ SAMPLE_DEPTH = 3
 SAMPLE_DENSITY = 0.75
 
 
-def sample_orth_element(p: Parahoric, orth: MPLattice, rng: random.Random) -> TwistedElement:
-    """Random lattice element: coefficients at the SAMPLE_DEPTH lowest admitted orders."""
-    rd = p.rd
-    value = {}
-    for idx in range(rd.dim):
+def _draw(
+    p: Parahoric, orth: MPLattice, rng: random.Random
+) -> Dict[int, Dict[int, Tuple[int, int]]]:
+    """Coefficients (num, den) at the SAMPLE_DEPTH lowest admitted orders of each line.
+
+    ``randrange(19) - 9`` and ``(1, 1, 2, 3)[randrange(4)]`` make the same draws
+    as ``randint(-9, 9)`` and ``choice((1, 1, 2, 3))``.
+    """
+    random_, randrange = rng.random, rng.randrange
+    out = {}
+    for idx in range(p.rd.dim):
         o = orth.order_fn[idx]
         coeffs = {}
         for k in range(o, o + SAMPLE_DEPTH):
-            if rng.random() < SAMPLE_DENSITY:
-                num = rng.randint(-9, 9)
+            if random_() < SAMPLE_DENSITY:
+                num = randrange(19) - 9
                 if num:
-                    coeffs[k] = Fraction(num, rng.choice((1, 1, 2, 3)))
+                    coeffs[k] = (num, (1, 1, 2, 3)[randrange(4)])
         if coeffs:
-            value[idx] = LaurentPoly._of(coeffs)
-    return TwistedElement(value, rd.dim, 1)
+            out[idx] = coeffs
+    return out
+
+
+def sample_orth_element(p: Parahoric, orth: MPLattice, rng: random.Random) -> TwistedElement:
+    """Random lattice element: coefficients at the SAMPLE_DEPTH lowest admitted orders."""
+    value = {
+        idx: LaurentPoly._of({k: Fraction(num, den) for k, (num, den) in coeffs.items()})
+        for idx, coeffs in _draw(p, orth, rng).items()
+    }
+    return TwistedElement(value, p.rd.dim, 1)
 
 
 def _sample_orders(
     inv: InvariantSystem, p: Parahoric, orth: MPLattice, seed: int, s: int
 ) -> List[Optional[int]]:
     """t-orders of the Hitchin components of sample s (None for a zero component)."""
-    xi = sample_orth_element(p, orth, random.Random(f"{seed}:{s}"))
-    return [comp.val() for comp in chevalley_map(inv, xi).components]
+    return inv.valuations(_draw(p, orth, random.Random(f"{seed}:{s}")))
 
 
 def verify_containment(

@@ -212,6 +212,12 @@ class TestDeterminism:
         assert a.stdout == b.stdout
 
 
+def usable_cpus(monkeypatch, k):
+    """Make the process see k CPUs, through its affinity mask and the CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: k)
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("jobs,samples,workers", [(8, 3, 3), (2, 50, 2)])
     def test_workers_capped_at_samples_and_cpus(self, monkeypatch, capsys, jobs, samples, workers):
@@ -235,7 +241,7 @@ class TestWorkerPool:
                 return [f(x) for x in xs]
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        usable_cpus(monkeypatch, 4)
         monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
         argv = ["verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1",
                 "--samples", str(samples)]
@@ -245,6 +251,27 @@ class TestWorkerPool:
         assert cli.cmd_verify(cli.build_parser().parse_args(argv + ["--jobs", str(jobs)])) == 0
         assert started == [workers]
         assert capsys.readouterr().out == serial
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch, capsys):
+        """Workers are capped by the affinity mask, not by the machine's CPU count."""
+        import multiprocessing
+
+        from loopalg import cli
+
+        def no_pool(processes):
+            raise AssertionError(f"a pool of {processes} was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
+        argv = ["verify", "size-of-image", "--type", "G2", "--kac", "1,1,1", "--n", "2",
+                "--samples", "20", "--seed", "3"]
+        outs = []
+        for jobs in ("1", "2"):
+            assert cli.cmd_verify(cli.build_parser().parse_args(argv + ["--jobs", jobs])) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0]
 
     def test_failing_run_bytes_match_across_jobs(self, monkeypatch, capsys):
         import multiprocessing
@@ -262,7 +289,7 @@ class TestWorkerPool:
             return fork.Pool(processes)
 
         monkeypatch.setattr(multiprocessing, "Pool", pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
         argv = ["verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1",
                 "--samples", "6"]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,54 @@ class TestContainment:
         serial, mapped = caught
         assert serial.seed == mapped.seed and serial.seed.startswith("4:")
         assert serial.witness == mapped.witness and serial.witness
+        # the witness is built on the Fraction path; replayed through the
+        # Hitchin map, the failed component has the t-order the sweep reported
+        i, v = map(int, re.match(r"component (\d+) of sample \d+ has t-order (-?\d+)",
+                                 str(serial)).groups())
+        xi = TwistedElement(
+            {idx: LaurentPoly.from_pairs(pairs) for idx, pairs in serial.witness.items()}, rd.dim, 1
+        )
+        assert chevalley_map(inv, xi).components[i].val() == v
+
+    @pytest.mark.parametrize("name", INVARIANT_TYPES)
+    def test_integer_orders_match_the_hitchin_map(self, name):
+        """The sweep's integer t-orders equal those of the Hitchin map on the
+        same sample built with Fractions, on every containment case."""
+        rd = rd_of(name)
+        inv = invariant_system(rd)
+        for p in containment_parahorics(rd):
+            for n in (0, 1, 2):
+                orth = orthogonal_lattice(p, n)
+                for s in range(20):
+                    draw = hitchin._draw(p, orth, random.Random(f"eq:{s}"))
+                    xi = sample_orth_element(p, orth, random.Random(f"eq:{s}"))
+                    want = [c.val() for c in chevalley_map(inv, xi).components]
+                    assert inv.valuations(draw) == want, (p.kac_coords, n, s)
+
+    def test_sweep_builds_no_fraction_or_laurent_element(self, monkeypatch):
+        """A passing sweep stays in ints: neither ``Fraction`` in the Hitchin
+        module nor ``LaurentPoly._of`` is called."""
+        rd = rd_of("G2")
+        inv = invariant_system(rd)
+        p = iwahori(rd)
+        orthogonal_lattice(p, 2)
+        calls = []
+        real_fraction, real_of = hitchin.Fraction, LaurentPoly._of.__func__
+
+        def fraction(*args):
+            calls.append("Fraction")
+            return real_fraction(*args)
+
+        def of(cls, coeffs):
+            calls.append("_of")
+            return real_of(cls, coeffs)
+
+        monkeypatch.setattr(hitchin, "Fraction", fraction)
+        monkeypatch.setattr(LaurentPoly, "_of", classmethod(of))
+        assert verify_containment(inv, p, 2, samples=50, seed=9)["status"] == "pass"
+        assert calls == []
+        sample_orth_element(p, orthogonal_lattice(p, 2), random.Random(1))
+        assert "Fraction" in calls and "_of" in calls  # the wrappers do count
 
     def test_gauge_invariance_of_map(self):
         """Conjugating by exp of a nilpotent over O leaves the image fixed."""
