@@ -1,11 +1,21 @@
 """Command-line front end: every construction and verification as a subcommand.
 
 Exit codes: 0 on pass, 1 on a violated check or mismatched golden file,
-2 on usage errors (including unsupported Cartan types), 3 on an internal
-error (any other exception, reported as one line).  All randomness is
-derived from --seed, so reports are byte-identical across runs; when
-LOOPALG_GOLDEN_DIR is set, each report is compared against (or bootstraps)
-a golden file named after the subcommand and arguments.
+2 on usage errors (including unsupported Cartan types and an unusable
+--output or LOOPALG_GOLDEN_DIR), 3 on an internal error (any other
+exception, reported as one line).  All randomness is derived from --seed,
+so reports are byte-identical across runs.
+
+Each ``cmd_*`` handler returns a payload and a pass/fail status; ``_emit``
+is the one path that renders every report, pass or fail, stamps its
+``schema`` id (``loopalg/<subcommand>/v1``, ``loopalg/verify-<proposition>/v1``)
+and writes it.  When LOOPALG_GOLDEN_DIR is set, each report, fail reports
+included, is compared against (or bootstraps) a golden file in that
+directory.  Its name is the subcommand, the proposition for ``verify``, the
+type and fg's coefficient, then ``key=value`` (a bare key for a flag) for
+every option away from its default, in key order, e.g.
+``verify_size-of-image_A1_kac=1,1_n=2_samples=25_seed=7.json``.  --jobs and
+--output never change the bytes, so they never enter the name.
 """
 
 from __future__ import annotations
@@ -53,48 +63,54 @@ from .rootdata import CartanType, build_root_datum, fundamental_degrees
 SCHEMA_VERSION = "v1"
 
 
-def _render(payload: dict, fmt: str) -> str:
-    if fmt == "table":
-        lines = []
-        for k in sorted(payload):
-            lines.append(f"{k}: {payload[k]}")
-        return "\n".join(lines) + "\n"
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _golden_name(args) -> str:
+    """Subcommand, proposition, type and fg coefficient, then one ``key=value``
+    part (a bare key for a flag) per option away from its default, in key order.
+    --jobs and --output never change the bytes, so they never enter the name."""
+    named = {
+        k: v for k, v in vars(args).items()
+        if k not in ("jobs", "output") and v != args.parser.get_default(k)
+    }
+    head = [str(named.pop(k)) for k in ("command", "proposition", "type", "a") if k in named]
+    opts = [k if v is True else f"{k}={v}" for k, v in sorted(named.items())]
+    return "_".join(head + opts).replace("/", "over").replace(" ", "") + ".json"
 
 
-def _write(text: str, args) -> None:
-    """The report goes to --output when it is given, else to stdout."""
-    out = getattr(args, "output", None)
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as ex:
-            raise UsageError(f"cannot write --output {out}: {ex.strerror}") from None
+def _emit(payload: dict, ok: bool, args) -> int:
+    """The one report path, pass or fail: render, check against the golden file
+    when LOOPALG_GOLDEN_DIR is set, then write to --output or stdout."""
+    kind = f"verify-{args.proposition}" if args.command == "verify" else args.command
+    payload = {**payload, "schema": f"loopalg/{kind}/{SCHEMA_VERSION}"}
+    if args.format == "table":
+        text = "".join(f"{k}: {payload[k]}\n" for k in sorted(payload))
     else:
-        sys.stdout.write(text)
-
-
-def _emit(payload: dict, args, slug: str) -> int:
-    payload = dict(payload)
-    payload.setdefault("schema", f"loopalg/{slug.split('_')[0]}/{SCHEMA_VERSION}")
-    text = _render(payload, getattr(args, "format", "json"))
-    _write(text, args)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    code = 0 if ok else 1
     golden_dir = os.environ.get("LOOPALG_GOLDEN_DIR")
     if golden_dir:
-        os.makedirs(golden_dir, exist_ok=True)
-        path = os.path.join(golden_dir, slug + ".json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                want = fh.read()
-            if want != text:
-                sys.stderr.write(f"golden mismatch: {path}\n")
-                return 1
-        else:
-            with open(path, "w") as fh:
+        path = os.path.join(golden_dir, _golden_name(args))
+        try:
+            os.makedirs(golden_dir, exist_ok=True)
+            if os.path.exists(path):
+                with open(path) as fh:
+                    if fh.read() != text:
+                        sys.stderr.write(f"golden mismatch: {path}\n")
+                        code = 1
+            else:
+                with open(path, "w") as fh:
+                    fh.write(text)
+                sys.stderr.write(f"golden created: {path}\n")
+        except OSError as ex:
+            raise UsageError(f"cannot use LOOPALG_GOLDEN_DIR {golden_dir}: {ex.strerror}") from None
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
                 fh.write(text)
-            sys.stderr.write(f"golden created: {path}\n")
-    return 0
+        except OSError as ex:
+            raise UsageError(f"cannot write --output {args.output}: {ex.strerror}") from None
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def _positive_int(text: str) -> int:
@@ -144,7 +160,7 @@ def _parse_iwahori(rd, text: Optional[str], prop: str):
     return p
 
 
-def cmd_degrees(args) -> int:
+def cmd_degrees(args) -> tuple[dict, bool]:
     rd = _parse_type(args.type)
     degs = list(fundamental_degrees(rd))
     payload = {
@@ -157,21 +173,20 @@ def cmd_degrees(args) -> int:
     }
     if args.full:
         payload["root_datum"] = rd.to_json_dict()
-    return _emit(payload, args, f"degrees_{rd.cartan.name}")
+    return payload, True
 
 
-def cmd_kac(args) -> int:
+def cmd_kac(args) -> tuple[dict, bool]:
     rd = _parse_type(args.type)
     p = _parse_kac(rd, args.kac)
     payload = p.descriptor()
     if args.n is not None:
         payload["n"] = args.n
         payload["lattice"] = moy_prasad(p, args.n).dump()
-    slug = f"kac_{rd.cartan.name}_{'-'.join(map(str, p.kac_coords))}"
-    return _emit(payload, args, slug)
+    return payload, True
 
 
-def cmd_grading(args) -> int:
+def cmd_grading(args) -> tuple[dict, bool]:
     rd = _parse_type(args.type)
     p = _parse_kac(rd, args.kac)
     g = kac_grading(p)
@@ -185,11 +200,10 @@ def cmd_grading(args) -> int:
         "levi_dimension": g.levi_dimension(),
         "principal": is_principal(p),
     }
-    slug = f"grading_{rd.cartan.name}_{'-'.join(map(str, p.kac_coords))}"
-    return _emit(payload, args, slug)
+    return payload, True
 
 
-def cmd_hitchin_image(args) -> int:
+def cmd_hitchin_image(args) -> tuple[dict, bool]:
     rd = _parse_type(args.type)
     p = _parse_kac(rd, args.kac)
     image = hitchin_bounds(p, args.n)
@@ -203,11 +217,10 @@ def cmd_hitchin_image(args) -> int:
         "bounds": list(image.bounds),
         "dual_lattice": lattice.dump(),
     }
-    slug = f"hitchin-image_{rd.cartan.name}_{'-'.join(map(str, p.kac_coords))}_n{args.n}"
-    return _emit(payload, args, slug)
+    return payload, True
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     rd = _parse_type(args.type)
     prop = args.proposition
     try:
@@ -229,39 +242,24 @@ def cmd_verify(args) -> int:
                     payload = sweep(map=pool.map)
             else:
                 payload = sweep()
-            slug = (
-                f"verify-size-of-image_{rd.cartan.name}_"
-                f"{'-'.join(map(str, p.kac_coords))}_n{args.n}_s{args.samples}_seed{args.seed}"
-            )
         elif prop == "surjectivity":
             p = _parse_kac(rd, args.kac, default_iwahori=True)
             payload = verify_surjectivity(
                 invariant_system(rd), p, n=args.n if args.n is not None else 2,
                 trials=args.trials, seed=args.seed
             )
-            slug = (
-                f"verify-surjectivity_{rd.cartan.name}_"
-                f"{'-'.join(map(str, p.kac_coords))}_t{args.trials}_seed{args.seed}"
-            )
         elif prop == "rs-image":
             p = _parse_kac(rd, args.kac, default_iwahori=True)
             payload = verify_rs_image(invariant_system(rd), p, seed=args.seed)
-            slug = (
-                f"verify-rs-image_{rd.cartan.name}_"
-                f"{'-'.join(map(str, p.kac_coords))}_seed{args.seed}"
-            )
         elif prop == "residue-diagram":
             p = _parse_iwahori(rd, args.kac, prop)
             payload = residue_diagram(
                 invariant_system(rd), p, samples=args.samples, seed=args.seed
             )
-            slug = f"verify-residue-diagram_{rd.cartan.name}_s{args.samples}_seed{args.seed}"
         elif prop == "global-oper":
             payload = global_oper_space(rd)
-            slug = f"verify-global-oper_{rd.cartan.name}"
         elif prop == "invariant-generator":
             payload = torus_invariant_generator(_parse_iwahori(rd, args.kac, prop))
-            slug = f"verify-invariant-generator_{rd.cartan.name}"
         else:  # pragma: no cover
             raise InvalidCoordinatesError(f"unknown proposition {prop}")
     except (ContainmentViolation, SurjectivityFailure, DiagramMismatch, MismatchError) as ex:
@@ -275,12 +273,11 @@ def cmd_verify(args) -> int:
         if isinstance(ex, ContainmentViolation):
             failure["seed"] = ex.seed
             failure["witness"] = ex.witness
-        _write(_render(failure, args.format), args)
-        return 1
-    return _emit(payload, args, slug)
+        return failure, False
+    return payload, True
 
 
-def cmd_fg(args) -> int:
+def cmd_fg(args) -> tuple[dict, bool]:
     rd = _parse_type(args.type)
     a = args.a
     op = fg_connection(rd, a)
@@ -298,30 +295,22 @@ def cmd_fg(args) -> int:
             payload["slope_certificate"] = slope_certificate(op)
         except NoCertificateError as ex:
             payload["slope_certificate"] = {"status": "fail", "message": str(ex)}
-            _write(_render(payload, args.format), args)
-            return 1
+            return payload, False
     else:
         payload["slope_certificate"] = None
     if args.ode:
         ode = cyclic_ode(op)
         ode.pop("coefficients_raw", None)
         payload["cyclic_ode"] = ode
-    ok = payload["residue_regular_singular"] and payload["irregular_type"]
-    slug = f"fg_{rd.cartan.name}_a{str(a).replace('/', 'over').replace('-', 'm')}"
-    code = _emit(payload, args, slug)
-    return code if ok else 1
+    return payload, payload["residue_regular_singular"] and payload["irregular_type"]
 
 
-def cmd_oper_space(args) -> int:
-    rd = _parse_type(args.type)
-    payload = global_oper_space(rd)
-    return _emit(payload, args, f"oper-space_{rd.cartan.name}")
+def cmd_oper_space(args) -> tuple[dict, bool]:
+    return global_oper_space(_parse_type(args.type)), True
 
 
-def cmd_hitchin_base(args) -> int:
-    rd = _parse_type(args.type)
-    payload = global_hitchin_base(rd)
-    return _emit(payload, args, f"hitchin-base_{rd.cartan.name}")
+def cmd_hitchin_base(args) -> tuple[dict, bool]:
+    return global_hitchin_base(_parse_type(args.type)), True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, kac=False, n=False, samples=False, trials=False):
+    def common(p, func, kac=False, n=False, samples=False, trials=False):
+        # the subparser rides along so that _golden_name can read its defaults
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="seed for all random draws")
@@ -360,20 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degrees", help="fundamental degrees, marks and Coxeter number")
     p.add_argument("type")
     p.add_argument("--full", action="store_true", help="include the full root-datum dump")
-    common(p)
-    p.set_defaults(func=cmd_degrees)
+    common(p, cmd_degrees)
 
     p = sub.add_parser(
         "kac", help="parahoric descriptor from alcove coordinates (with --n: lattice dump)"
     )
     p.add_argument("type")
-    common(p, kac=True, n=True)
-    p.set_defaults(func=cmd_kac)
+    common(p, cmd_kac, kac=True, n=True)
 
     p = sub.add_parser("grading", help="periodic grading induced by a parahoric, with principality")
     p.add_argument("type")
-    common(p, kac=True)
-    p.set_defaults(func=cmd_grading)
+    common(p, cmd_grading, kac=True)
 
     p = sub.add_parser(
         "hitchin-image",
@@ -381,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("type")
     p.add_argument("--n", type=int, required=True, help="filtration level")
-    common(p, kac=True)
-    p.set_defaults(func=cmd_hitchin_image)
+    common(p, cmd_hitchin_image, kac=True)
 
     p = sub.add_parser(
         "verify",
@@ -405,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("--type", required=True)
-    common(p, kac=True, n=True, samples=True, trials=True)
-    p.set_defaults(func=cmd_verify)
+    common(p, cmd_verify, kac=True, n=True, samples=True, trials=True)
 
     p = sub.add_parser(
         "fg",
@@ -417,18 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
         "a", type=_rational, help="rational coefficient of the highest-root direction, e.g. 2/3"
     )
     p.add_argument("--ode", action="store_true", help="include the scalar operator")
-    common(p)
-    p.set_defaults(func=cmd_fg)
+    common(p, cmd_fg)
 
     p = sub.add_parser("oper-space", help="dimension and basis of the global two-point space")
     p.add_argument("type")
-    common(p)
-    p.set_defaults(func=cmd_oper_space)
+    common(p, cmd_oper_space)
 
     p = sub.add_parser("hitchin-base", help="dimension of the global base on the projective line")
     p.add_argument("type")
-    common(p)
-    p.set_defaults(func=cmd_hitchin_base)
+    common(p, cmd_hitchin_base)
 
     return ap
 
@@ -437,7 +420,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(*args.func(args), args)
     except (UnsupportedTypeError, InvalidCoordinatesError, UsageError) as ex:
         sys.stderr.write(f"usage error: {ex}\n")
         return 2

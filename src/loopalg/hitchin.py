@@ -214,20 +214,13 @@ class InvariantSystem:
             idx: {k - low: q.numerator * (den // q.denominator) for k, q in poly.coeffs.items()}
             for idx, poly in xi.value.items()
         })
-        half, mask = 1 << (w - 1), (1 << w) - 1
         out = []
         for d in self.degrees:
-            value, k, scale = es[d - 1], d * low, den ** d
-            coeffs = {}
-            while value:
-                digit = value & mask
-                if digit >= half:
-                    digit -= 1 << w
-                if digit:
-                    coeffs[k] = Fraction(digit, scale)
-                value = (value - digit) >> w
-                k += 1
-            out.append(LaurentPoly._of(coeffs))
+            scale = den ** d
+            out.append(LaurentPoly._of({
+                d * low + i: Fraction(c, scale)
+                for i, c in enumerate(ring._unpack(es[d - 1], w)) if c
+            }))
         return out
 
     def valuations(self, draw: Dict[int, Dict[int, Tuple[int, int]]]) -> List[Optional[int]]:

@@ -114,6 +114,7 @@ class TestExitCodes:
         assert code == 1
         assert report["status"] == "fail" and report["error"] == "ContainmentViolation"
         assert report["seed"].startswith("6:") and report["witness"]
+        assert report["schema"] == "loopalg/verify-size-of-image/v1"
         if jsonschema is not None:
             jsonschema.validate(report, load_schema("report"))
         # the seed redraws the witness
@@ -150,7 +151,11 @@ class TestExitCodes:
         assert cli.main(argv + ["--output", str(out)]) == 1
         assert capsys.readouterr().out == ""
         assert out.read_text() == printed
-        assert json.loads(printed)["error"] == "SurjectivityFailure"
+        report = json.loads(printed)
+        assert report["error"] == "SurjectivityFailure"
+        assert report["schema"] == "loopalg/verify-surjectivity/v1"
+        if jsonschema is not None:
+            jsonschema.validate(report, load_schema("report"))
 
     def test_missing_slope_certificate_goes_to_output(self, monkeypatch, capsys, tmp_path):
         from loopalg import cli
@@ -245,10 +250,10 @@ class TestWorkerPool:
         monkeypatch.delenv("LOOPALG_GOLDEN_DIR", raising=False)
         argv = ["verify", "size-of-image", "--type", "A1", "--kac", "1,1", "--n", "1",
                 "--samples", str(samples)]
-        assert cli.cmd_verify(cli.build_parser().parse_args(argv)) == 0
+        assert cli.main(argv) == 0
         serial = capsys.readouterr().out
         assert started == []
-        assert cli.cmd_verify(cli.build_parser().parse_args(argv + ["--jobs", str(jobs)])) == 0
+        assert cli.main(argv + ["--jobs", str(jobs)]) == 0
         assert started == [workers]
         assert capsys.readouterr().out == serial
 
@@ -269,7 +274,7 @@ class TestWorkerPool:
                 "--samples", "20", "--seed", "3"]
         outs = []
         for jobs in ("1", "2"):
-            assert cli.cmd_verify(cli.build_parser().parse_args(argv + ["--jobs", jobs])) == 0
+            assert cli.main(argv + ["--jobs", jobs]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and outs[0]
 
@@ -295,7 +300,7 @@ class TestWorkerPool:
                 "--samples", "6"]
         runs = []
         for jobs in ("1", "2"):
-            code = cli.cmd_verify(cli.build_parser().parse_args(argv + ["--jobs", jobs]))
+            code = cli.main(argv + ["--jobs", jobs])
             runs.append((code, capsys.readouterr().out))
         assert started == [2]
         (code1, out1), (code2, out2) = runs
@@ -322,6 +327,74 @@ class TestGoldenMode:
         golden.write_text(golden.read_text().replace('"A2"', '"XX"'))
         r3 = run_cli(*args, env_extra=env)
         assert r3.returncode == 1 and "golden mismatch" in r3.stderr
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (("degrees", "A2"), ("degrees", "A2", "--full")),
+            (("degrees", "A2"), ("degrees", "A2", "--format", "table")),
+            (("fg", "A1", "1"), ("fg", "A1", "1", "--ode")),
+            (("kac", "C2", "--kac", "1,0,1", "--n", "2"),
+             ("kac", "C2", "--kac", "1,0,1", "--n", "1")),
+        ],
+        ids=["full", "format-table", "fg-ode", "kac-n"],
+    )
+    def test_options_that_change_the_bytes_get_their_own_file(self, tmp_path, first, second):
+        env = {"LOOPALG_GOLDEN_DIR": str(tmp_path)}
+        for args in (first, second):
+            r = run_cli(*args, env_extra=env)
+            assert r.returncode == 0 and "golden created" in r.stderr, (args, r.stderr)
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_jobs_share_one_golden_file(self, tmp_path):
+        env = {"LOOPALG_GOLDEN_DIR": str(tmp_path)}
+        args = ("verify", "size-of-image", "--type", "G2", "--kac", "1,1,1", "--n", "2",
+                "--samples", "20", "--seed", "3")
+        r1 = run_cli(*args, "--jobs", "1", env_extra=env)
+        assert r1.returncode == 0 and "golden created" in r1.stderr
+        r2 = run_cli(*args, "--jobs", "2", env_extra=env)
+        assert r2.returncode == 0 and r2.stderr == ""
+        names = [f.name for f in tmp_path.iterdir()]
+        assert names == ["verify_size-of-image_G2_kac=1,1,1_n=2_samples=20_seed=3.json"]
+
+    def test_fail_report_bootstraps_matches_and_mismatches(self, tmp_path):
+        env = {"LOOPALG_GOLDEN_DIR": str(tmp_path)}
+        args = ("verify", "surjectivity", "--type", "C2", "--kac", "0,1,0", "--trials", "2")
+        r1 = run_cli(*args, env_extra=env)
+        assert r1.returncode == 1 and "golden created" in r1.stderr
+        assert "golden mismatch" not in r1.stderr
+        golden = tmp_path / "verify_surjectivity_C2_kac=0,1,0_trials=2.json"
+        assert golden.read_text() == r1.stdout
+        r2 = run_cli(*args, env_extra=env)
+        assert r2.returncode == 1 and r2.stderr == "" and r2.stdout == r1.stdout
+        golden.write_text(golden.read_text().replace('"C2"', '"XX"'))
+        r3 = run_cli(*args, env_extra=env)
+        assert r3.returncode == 1 and "golden mismatch" in r3.stderr
+
+    @pytest.mark.parametrize("under", [False, True], ids=["dir-is-file", "dir-under-file"])
+    def test_unusable_golden_dir_exits_2(self, tmp_path, under):
+        blocker = tmp_path / "golden"
+        blocker.write_text("")
+        golden_dir = blocker / "sub" if under else blocker
+        r = run_cli("degrees", "A2", env_extra={"LOOPALG_GOLDEN_DIR": str(golden_dir)})
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith(f"usage error: cannot use LOOPALG_GOLDEN_DIR {golden_dir}: ")
+        assert r.stderr.count("\n") == 1
+
+    def test_golden_name_rule(self):
+        from loopalg import cli
+
+        def name(*argv):
+            return cli._golden_name(cli.build_parser().parse_args(argv))
+
+        assert name("degrees", "A2") == "degrees_A2.json"
+        assert name("degrees", "A2", "--seed", "0", "--jobs", "3", "--output", "x") == (
+            "degrees_A2.json")
+        assert name("fg", "C2", "2/3", "--ode") == "fg_C2_2over3_ode.json"
+        assert name("fg", "A1", "-2") == "fg_A1_-2.json"
+        assert name("fg", "A1", "0") == "fg_A1_0.json"
+        assert (name("verify", "residue-diagram", "--type", "A2", "--seed", "9", "--samples", "25")
+                == "verify_residue-diagram_A2_samples=25_seed=9.json")
 
     def test_repository_golden_files(self):
         with open(os.path.join(GOLDEN_DIR, "manifest.json")) as fh:
