@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -124,14 +125,32 @@ def _positive_int(text: str) -> int:
 
 
 def _rational(text: str) -> Fraction:
+    """A rational the report can print: ``str`` of an int with more digits than
+    ``sys.get_int_max_str_digits()`` (0: no limit) raises ValueError."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected a rational number such as 2/3, got {text!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has a numerator or denominator of more than {limit} digits, "
+            "the interpreter's limit for printing an int"
+        )
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports malformed arguments as one ``usage error:`` line, exit code 2."""
+    """Reports malformed arguments as one ``usage error:`` line, exit code 2.
+
+    An argument of ``-`` then a digit or ``.digit`` is a value, never an option
+    (no option name starts so), so ``fg A1 -2/3`` and ``--kac -1,1,1`` reach
+    their parsers; argparse itself takes only ``-<digits>`` and ``-<decimal>``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(2, f"usage error: {self.prog}: {message}\n")
@@ -335,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "worker processes for sample sweeps, at most one per sample and per usable CPU; "
                 "the output bytes are the same for every value.  On a 2-vCPU machine "
-                "--jobs 2 measured slower than --jobs 1 (273-313 ms against 251-308 ms "
+                "--jobs 2 measured slower than --jobs 1 (median 178 ms against 169 ms "
                 "for a 200-sample G2 size-of-image sweep)"
             ),
         )

@@ -19,33 +19,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ring
 from .affine import (
-    MPLattice,
-    Parahoric,
-    _ceil_div,
-    graded_principal_triple,
-    is_principal,
-    iwahori,
-    moy_prasad,
-    orthogonal_lattice,
-    residue_pairing,
+    MPLattice, Parahoric, _ceil_div, graded_principal_triple, is_principal, iwahori, moy_prasad,
+    orthogonal_lattice, residue_pairing,
 )
 from .errors import (
-    ContainmentViolation,
-    DiagramMismatch,
-    MismatchError,
-    SurjectivityFailure,
-    UnsupportedTypeError,
-    UsageError,
+    ContainmentViolation, DiagramMismatch, MismatchError, SurjectivityFailure,
+    UnsupportedTypeError, UsageError,
 )
 from .laurent import LaurentPoly, OrderBound, TwistedElement
 from .ring import MultiPoly
 from .rootdata import (
-    Degrees,
-    PrincipalTriple,
-    RootDatum,
-    Vec,
-    centralizer_basis,
-    fundamental_degrees,
+    Degrees, PrincipalTriple, RootDatum, Vec, centralizer_basis, fundamental_degrees,
     principal_triple,
 )
 
@@ -56,9 +40,6 @@ class HitchinValue:
 
     components: List[LaurentPoly]
     degrees: Tuple[int, ...]
-
-    def component(self, i: int) -> LaurentPoly:
-        return self.components[i]
 
     def pole_orders(self) -> List[Optional[int]]:
         """Pole order of each component in omega^{d_i}, None for zero."""
@@ -87,7 +68,6 @@ class KostantData:
         self.pbasis = pbasis
         l = rd.rank
         f = list(triple.f)
-        mats: List[List[MultiPoly]] = []
         n = rd.rep_dim
         zero = MultiPoly.const(l, 0)
         entries = [[zero for _ in range(n)] for _ in range(n)]
@@ -138,6 +118,25 @@ def _lowest_slot(v: int, w: int) -> int:
     return ((v & -v).bit_length() - 1) // w
 
 
+def _slot_width(norms: Sequence[int], kmax: int) -> int:
+    """Slot width w with |c| < 2^(w-1) for every coefficient c of e_1..e_kmax of a
+    matrix over Z[t] whose row l1-norms are ``norms`` = (R_1, ..., R_n).
+
+    The l1-norm |f| on Z[t] has |f g| <= |f| |g|.  A principal minor on rows S
+    is a sum over permutations s of prod_{i in S} m_{i s(i)}, so its norm is at
+    most prod_{i in S} R_i (expand the product of the row sums); e_d is the sum
+    of the principal d-minors, so every |c| in e_d is at most
+    e_d(R_1, ..., R_n), an equality at c I, where e_d = C(n, d) c^d.  As
+    e_d(R) <= C(n, d) M^kmax with M = max(1, R_1, ..., R_n), w <= bitlen(2^n M^kmax) + 1.
+    """
+    es = [1] + [0] * kmax
+    for r in norms:
+        if r:
+            for d in range(kmax, 0, -1):
+                es[d] += r * es[d - 1]
+    return max(es[1:]).bit_length() + 1
+
+
 class InvariantSystem:
     """Defining representation plus one invariant generator per degree."""
 
@@ -150,7 +149,6 @@ class InvariantSystem:
         self.degrees = fundamental_degrees(rd)
         self.triple = principal_triple(rd)
         self.pbasis = centralizer_basis(rd, self.triple)
-        self.generators = [("charpoly", d) for d in self.degrees]
         self.kostant = KostantData(rd, self.degrees, self.triple, self.pbasis)
         # integer rep rows: rep_rows[idx] holds the entries (i, j, c) of line idx,
         # rep_norms[idx] its row l1-norms (i, sum_j |c|)
@@ -166,36 +164,44 @@ class InvariantSystem:
 
     # -- evaluation -------------------------------------------------------
 
-    def _packed_esym(self, cleared: Dict[int, Dict[int, int]]) -> Tuple[List[int], int]:
-        """e_1..e_kmax, packed by t -> 2^w, and w, for the matrix over Z[t] whose
-        line idx has the int coefficients ``cleared[idx]`` at exponents k >= 0.
-        Each coefficient c of e_d has |c| < 2^(w-1): e_d is a sum of C(n, d) principal
-        minors, each of l1-norm at most R^d for R >= 1 bounding the row l1-norms."""
-        n = self.rd.rep_dim
-        kmax = max(self.degrees)
-        norms = [0] * n
-        for idx, ints in cleared.items():
-            size = sum(map(abs, ints.values()))
+    def _packed_esym(self, lines: List[tuple]) -> Tuple[List[int], int, int]:
+        """e_1..e_kmax packed by t -> 2^w, w and L, for the element whose line idx
+        has the int coefficient v at t^k for each (idx, [(k, v), ...]) in ``lines``.
+
+        L is the least exponent present: t^-L times the element has a matrix over
+        Z[t] (the defining rep is integral, checked when it is built), so e_d of
+        the element is t^(d L) times the packed e_d.  w is ``_slot_width`` of its
+        row l1-norms, so each packed e_d unpacks with balanced digits.
+        """
+        n, kmax = self.rd.rep_dim, max(self.degrees)
+        low, norms = None, [0] * n
+        for idx, coeffs in lines:
+            size = 0
+            for k, v in coeffs:
+                size += abs(v)
+                if low is None or k < low:
+                    low = k
             for i, r in self.rep_norms[idx]:
                 norms[i] += r * size
-        w = ((1 << n) * max(1, max(norms)) ** kmax).bit_length() + 1
+        w = _slot_width(norms, kmax)
         entries = [[0] * n for _ in range(n)]
-        for idx, ints in cleared.items():
-            packed = sum(v << (w * k) for k, v in ints.items())
+        for idx, coeffs in lines:
+            packed = 0
+            for k, v in coeffs:
+                packed += v << w * (k - low)
             for i, j, c in self.rep_rows[idx]:
                 entries[i][j] += c * packed
-        return ring.charpoly_esym(entries, kmax), w
+        return ring.charpoly_esym(entries, kmax), w, low or 0
 
     def invariant_values(self, vec_or_xi) -> List[LaurentPoly]:
         """e_d of the defining representation, one per fundamental degree.
 
-        With c the lcm of the coefficient denominators and L the least exponent
-        present, c t^-L xi has a matrix over Z[t] (the defining rep is integral,
-        checked when it is built).  The shared packed step ``_packed_esym`` runs
-        the charpoly kernel on it, and each e_d is unpacked with balanced digits
-        at offset d L, then divided by c^d.  ``valuations`` runs the same step on
-        a sampler draw and reads only each t-order, from the trailing zeros of
-        the packed e_d, without unpacking it.
+        With c the lcm of the coefficient denominators, c xi has int coefficients;
+        ``_packed_esym`` runs the charpoly kernel on it, and each e_d is unpacked
+        with balanced digits at offset d L, then divided by c^d.  ``valuations``
+        runs the same step on a ``_draw`` result, whose ints are already over one
+        denominator, and reads only each t-order, from the trailing zeros of the
+        packed e_d, without unpacking it.
         """
         if isinstance(vec_or_xi, TwistedElement):
             xi = vec_or_xi
@@ -204,16 +210,14 @@ class InvariantSystem:
                 {i: LaurentPoly.const(c) for i, c in enumerate(vec_or_xi) if c != 0},
                 self.rd.dim, 1,
             )
-        polys = list(xi.value.values())
         den = 1
-        for poly in polys:
+        for poly in xi.value.values():
             for q in poly.coeffs.values():
                 den = math.lcm(den, q.denominator)
-        low = min((k for poly in polys for k in poly.coeffs), default=0)
-        es, w = self._packed_esym({
-            idx: {k - low: q.numerator * (den // q.denominator) for k, q in poly.coeffs.items()}
+        es, w, low = self._packed_esym([
+            (idx, [(k, q.numerator * (den // q.denominator)) for k, q in poly.coeffs.items()])
             for idx, poly in xi.value.items()
-        })
+        ])
         out = []
         for d in self.degrees:
             scale = den ** d
@@ -223,20 +227,12 @@ class InvariantSystem:
             }))
         return out
 
-    def valuations(self, draw: Dict[int, Dict[int, Tuple[int, int]]]) -> List[Optional[int]]:
-        """t-order of each e_d (None for zero) at a ``_draw`` result, cleared as in
-        ``invariant_values``: d L plus the lowest nonzero slot of the packed e_d."""
-        den = math.lcm(*{q for coeffs in draw.values() for _, q in coeffs.values()})
-        low = min((k for coeffs in draw.values() for k in coeffs), default=0)
-        es, w = self._packed_esym({
-            idx: {k - low: num * (den // q) for k, (num, q) in coeffs.items()}
-            for idx, coeffs in draw.items()
-        })
+    def valuations(self, draw: List[tuple]) -> List[Optional[int]]:
+        """t-order of each e_d (None for zero) at a ``_draw`` result: d L plus the
+        lowest nonzero slot of the packed e_d.  The draw is 6 times a lattice
+        element, which scales e_d by 6^d and leaves every t-order as it is."""
+        es, w, low = self._packed_esym(draw)
         return [d * low + _lowest_slot(es[d - 1], w) if es[d - 1] else None for d in self.degrees]
-
-    def invariants_at_point(self, v: Vec) -> List[Fraction]:
-        vals = self.invariant_values(v)
-        return [c.coeff(0) for c in vals]
 
 
 _SYSTEMS: Dict[str, InvariantSystem] = {}
@@ -253,8 +249,7 @@ def chevalley_map(inv: InvariantSystem, xi: TwistedElement) -> HitchinValue:
     """Local Hitchin map: invariant values of a dt/t-twisted element."""
     if xi.form_degree != 1:
         raise ValueError("the local Hitchin map consumes form-degree-1 elements")
-    comps = inv.invariant_values(xi)
-    return HitchinValue(comps, tuple(inv.degrees))
+    return HitchinValue(inv.invariant_values(xi), tuple(inv.degrees))
 
 
 def hitchin_bounds(p: Parahoric, n: int, degrees: Optional[Sequence[int]] = None) -> HitchinImage:
@@ -270,34 +265,41 @@ SAMPLE_DEPTH = 3
 SAMPLE_DENSITY = 0.75
 
 
-def _draw(
-    p: Parahoric, orth: MPLattice, rng: random.Random
-) -> Dict[int, Dict[int, Tuple[int, int]]]:
-    """Coefficients (num, den) at the SAMPLE_DEPTH lowest admitted orders of each line.
+def _draw(p: Parahoric, orth: MPLattice, rng: random.Random) -> List[tuple]:
+    """(line, [(k, v), ...]) for the lines with a coefficient v/6 at some of their
+    SAMPLE_DEPTH lowest admitted orders k, in increasing k.
 
-    ``randrange(19) - 9`` and ``(1, 1, 2, 3)[randrange(4)]`` make the same draws
-    as ``randint(-9, 9)`` and ``choice((1, 1, 2, 3))``.
+    Each coefficient is num/den with num = randint(-9, 9) (dropped when 0) and
+    den = choice((1, 1, 2, 3)), carried as v = num (6/den) over the common
+    denominator 6 = lcm(1, 2, 3).  Both draws are ``random``'s own rejection
+    loop for randrange(19) and randrange(4): getrandbits(5) redrawn while >= 19,
+    getrandbits(3) redrawn while >= 4, so the stream is that of randint and choice.
     """
-    random_, randrange = rng.random, rng.randrange
-    out = {}
+    random_, getrandbits = rng.random, rng.getrandbits
+    out = []
     for idx in range(p.rd.dim):
         o = orth.order_fn[idx]
-        coeffs = {}
+        coeffs = []
         for k in range(o, o + SAMPLE_DEPTH):
             if random_() < SAMPLE_DENSITY:
-                num = randrange(19) - 9
-                if num:
-                    coeffs[k] = (num, (1, 1, 2, 3)[randrange(4)])
+                num = getrandbits(5)
+                while num >= 19:
+                    num = getrandbits(5)
+                if num != 9:
+                    r = getrandbits(3)
+                    while r >= 4:
+                        r = getrandbits(3)
+                    coeffs.append((k, (num - 9) * (6, 6, 3, 2)[r]))
         if coeffs:
-            out[idx] = coeffs
+            out.append((idx, coeffs))
     return out
 
 
 def sample_orth_element(p: Parahoric, orth: MPLattice, rng: random.Random) -> TwistedElement:
     """Random lattice element: coefficients at the SAMPLE_DEPTH lowest admitted orders."""
     value = {
-        idx: LaurentPoly._of({k: Fraction(num, den) for k, (num, den) in coeffs.items()})
-        for idx, coeffs in _draw(p, orth, rng).items()
+        idx: LaurentPoly._of({k: Fraction(v, 6) for k, v in coeffs})
+        for idx, coeffs in _draw(p, orth, rng)
     }
     return TwistedElement(value, p.rd.dim, 1)
 
@@ -514,7 +516,7 @@ def verify_rs_image(inv: InvariantSystem, p: Parahoric, seed: int = 0) -> dict:
         v = rd.zero_vec()
         for i in range(rd.rank):
             v[2 * rd.npos + i] = Fraction(rng.randint(-6, 6))
-        vals = inv.invariants_at_point(v)
+        vals = [c.coeff(0) for c in inv.invariant_values(v)]
         if all(c != 0 for c in vals):
             witness = v
             break
@@ -576,9 +578,7 @@ def torus_invariant_generator(p: Parahoric, degree_cap: Optional[int] = None) ->
     basis = _vp_basis(p)
     if len(basis) != rd.rank + 1 or any(node < 0 for node, _, _ in basis):
         raise MismatchError("degree-1 piece is not the affine simple-root span")
-    bar_roots: List[Root] = []
-    for node, idx, _ in basis:
-        bar_roots.append(rd.line_root(idx))
+    bar_roots = [rd.line_root(idx) for _, idx, _ in basis]
     rows = [[Fraction(bar_roots[i][j]) for i in range(len(basis))] for j in range(rd.rank)]
     ker = ring.kernel_basis(rows)
     if len(ker) != 1:

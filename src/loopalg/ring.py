@@ -11,7 +11,6 @@ Bareiss elimination on Kronecker-packed ints.
 
 from __future__ import annotations
 
-import functools
 import operator
 from fractions import Fraction
 from math import gcd, lcm
@@ -70,7 +69,8 @@ def charpoly_esym(m, kmax: int) -> List:
 
 
 def _dot(row, col):
-    return functools.reduce(operator.add, map(operator.mul, row, col))
+    products = map(operator.mul, row, col)
+    return sum(products, next(products))
 
 
 # -- multivariate polynomials over Q ----------------------------------------

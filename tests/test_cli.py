@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -96,6 +97,32 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr.startswith("usage error:") and r.stderr.count("\n") == 1
+
+    def test_negative_rational_is_a_value(self):
+        """``-2/3`` is fg's coefficient, not an unknown option: the bytes of ``-- -2/3``."""
+        r, ref = run_cli("fg", "A1", "-2/3"), run_cli("fg", "A1", "--", "-2/3")
+        assert r.returncode == ref.returncode == 0
+        assert r.stdout == ref.stdout and json.loads(r.stdout)["a"] == "-2/3"
+
+    def test_negative_kac_coordinate_reaches_the_coordinate_check(self):
+        r = run_cli("kac", "A2", "--kac", "-1,1,1")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "usage error: coordinates must lie in {0,1} and not all vanish\n"
+
+    @pytest.mark.parametrize("form", ["1e-{}", "-1e-{}", "1e{}"])
+    def test_coefficient_digit_limit(self, form):
+        """A coefficient with more digits than the interpreter prints in an int is a
+        usage error that states the limit; one digit fewer gives a report."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("no int digit limit in this interpreter")
+        ok = run_cli("fg", "A1", form.format(limit - 1))
+        assert ok.returncode == 0
+        assert json.loads(ok.stdout)["a"] == str(Fraction(form.format(limit - 1)))
+        r = run_cli("fg", "A1", form.format(limit))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("usage error:") and r.stderr.count("\n") == 1
+        assert f"more than {limit} digits" in r.stderr
 
     def test_containment_failure_reports_seed_and_witness(self, monkeypatch, capsys):
         import random

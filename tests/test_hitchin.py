@@ -159,6 +159,26 @@ class TestInvariantSystem:
                     for d, comp in zip(inv.degrees, got):
                         assert comp == es[d - 1]
 
+    def test_draw_is_randint_and_choice_over_six(self):
+        """``_draw`` makes the draws of randint(-9, 9) and choice((1, 1, 2, 3)) and
+        carries each coefficient num/den as the int num (6/den)."""
+        rd = rd_of("G2")
+        for p in containment_parahorics(rd):
+            orth = orthogonal_lattice(p, 2)
+            for s in range(30):
+                rng, want = random.Random(f"ref:{s}"), []
+                for idx in range(rd.dim):
+                    coeffs = []
+                    for k in range(orth.order_fn[idx], orth.order_fn[idx] + hitchin.SAMPLE_DEPTH):
+                        if rng.random() < hitchin.SAMPLE_DENSITY:
+                            num = rng.randint(-9, 9)
+                            if num:
+                                coeffs.append((k, Fraction(num, rng.choice((1, 1, 2, 3)))))
+                    if coeffs:
+                        want.append((idx, coeffs))
+                got = hitchin._draw(p, orth, random.Random(f"ref:{s}"))
+                assert [(idx, [(k, Fraction(v, 6)) for k, v in cs]) for idx, cs in got] == want
+
     def test_sample_stream_is_pinned(self):
         """sha256 of the first 20 draws of the containment stream (seed 7) on the
         three containment parahorics of each type at n = 0, 1, 2.  Seeds,
